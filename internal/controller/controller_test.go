@@ -244,6 +244,9 @@ func TestExp3StrategiesSmoke(t *testing.T) {
 				t.Errorf("%s: non-positive total time", strat)
 			}
 		}
+		if len(curves.Cost[strat]) != 2 || curves.Cost[strat][0] <= 0 || curves.Cost[strat][1] <= 0 {
+			t.Errorf("%s: cost %v, want two positive values", strat, curves.Cost[strat])
+		}
 	}
 	if len(curves.Fig6a.Series) != 4 { // 2 strategies × seen/unseen
 		t.Errorf("fig6a series = %d, want 4", len(curves.Fig6a.Series))

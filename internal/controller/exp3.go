@@ -43,6 +43,24 @@ type Corpus struct {
 	Strategy  string
 	Dataset   *ml.Dataset
 	BuildTime time.Duration
+	// LabelCost is the collection cost that does not depend on the host:
+	// the simulated instance-seconds of every labelling run, each run's
+	// operator instances times its simulated length. A run that spreads
+	// a query over more instances holds more of the cluster, and costs
+	// the simulator more events, for the same simulated length.
+	LabelCost float64
+}
+
+// LabelCostFor is the label cost of n queries at the corpus's mean cost
+// per label.
+func (c *Corpus) LabelCostFor(n int) float64 {
+	if c.Dataset.Len() == 0 {
+		return 0
+	}
+	if n > c.Dataset.Len() {
+		n = c.Dataset.Len()
+	}
+	return c.LabelCost * float64(n) / float64(c.Dataset.Len())
 }
 
 // TimeFor estimates the collection time of the first n queries (labeling
@@ -77,6 +95,7 @@ func (c *Controller) BuildCorpus(ctx context.Context, strategyName string, struc
 	sim := &backend.Sim{Cfg: c.Cfg}
 	start := time.Now()
 	ds := &ml.Dataset{}
+	var cost float64
 	for i := 0; i < n; i++ {
 		st := structures[i%len(structures)]
 		base, err := workload.Build(st, enum.RandomParams())
@@ -94,6 +113,7 @@ func (c *Controller) BuildCorpus(ctx context.Context, strategyName string, struc
 		if err != nil {
 			return nil, err
 		}
+		cost += float64(plan.TotalInstances()) * rec.ElapsedSec
 		ds.Examples = append(ds.Examples, ml.Example{
 			Flat:      feature.EncodeFlat(plan, cl),
 			Graph:     feature.EncodeGraph(plan, cl),
@@ -101,7 +121,7 @@ func (c *Controller) BuildCorpus(ctx context.Context, strategyName string, struc
 			Structure: plan.Structure,
 		})
 	}
-	return &Corpus{Strategy: strategyName, Dataset: ds, BuildTime: time.Since(start)}, nil
+	return &Corpus{Strategy: strategyName, Dataset: ds, BuildTime: time.Since(start), LabelCost: cost}, nil
 }
 
 // Exp3Models regenerates Figure 5: the per-structure median q-error of
@@ -140,7 +160,12 @@ type StrategyCurves struct {
 	Curves map[string][]*mlmanager.CurvePoint
 	// TotalTime[strategy][i] matches sizes[i]: collection + training.
 	TotalTime map[string][]time.Duration
-	Sizes     []int
+	// Cost[strategy][i] is the same effort counted instead of timed, so
+	// it does not depend on the host: the label cost of sizes[i] queries
+	// (Corpus.LabelCostFor, in simulated instance-seconds) plus training
+	// examples × epochs run, each counting one unit.
+	Cost  map[string][]float64
+	Sizes []int
 }
 
 // Exp3Strategies regenerates Figure 6: GNN cost models are trained on
@@ -177,6 +202,7 @@ func (c *Controller) Exp3Strategies(ctx context.Context, sizes []int, testN int,
 	out := &StrategyCurves{
 		Curves:    map[string][]*mlmanager.CurvePoint{},
 		TotalTime: map[string][]time.Duration{},
+		Cost:      map[string][]float64{},
 		Sizes:     sizes,
 		Fig6a: &metrics.Figure{
 			ID:     metrics.FigEnumAccuracy,
@@ -205,6 +231,7 @@ func (c *Controller) Exp3Strategies(ctx context.Context, sizes []int, testN int,
 		unseen := metrics.Series{Label: strat + "/unseen"}
 		times := metrics.Series{Label: strat}
 		var totals []time.Duration
+		var costs []float64
 		for _, p := range points {
 			x := fmt.Sprintf("%d", p.TrainQueries)
 			seen.Points = append(seen.Points, metrics.Point{X: x, Y: p.SeenMedianQ})
@@ -212,8 +239,10 @@ func (c *Controller) Exp3Strategies(ctx context.Context, sizes []int, testN int,
 			total := corpus.TimeFor(p.TrainQueries) + p.TrainTime
 			totals = append(totals, total)
 			times.Points = append(times.Points, metrics.Point{X: x, Y: total.Seconds()})
+			costs = append(costs, corpus.LabelCostFor(p.TrainQueries)+float64(p.TrainQueries*p.Epochs))
 		}
 		out.TotalTime[strat] = totals
+		out.Cost[strat] = costs
 		out.Fig6a.Series = append(out.Fig6a.Series, seen, unseen)
 		out.Fig6b.Series = append(out.Fig6b.Series, times)
 	}

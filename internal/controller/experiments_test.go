@@ -306,11 +306,14 @@ func TestO9RuleBasedEnumerationIsDataAndTimeEfficient(t *testing.T) {
 	if randN >= 0 && randN <= ruleN {
 		t.Errorf("O9: random reaches q≤%.3f with %d queries, rule-based needs %d", target, randN, ruleN)
 	}
-	// Total (collection + training) time advantage at the final size.
-	ruleT := curves.TotalTime["rule-based"][last]
-	randT := curves.TotalTime["random"][last]
-	if float64(randT) < 1.2*float64(ruleT) {
-		t.Errorf("O9: random total time %v not clearly above rule-based %v", randT, ruleT)
+	// Total (collection + training) effort advantage at the final size,
+	// on the counted cost rather than wall time: the two strategies' wall
+	// times come from runs seconds long, and the host's noise decided
+	// the ratio about half the time.
+	ruleC := curves.Cost["rule-based"][last]
+	randC := curves.Cost["random"][last]
+	if randC < 1.2*ruleC {
+		t.Errorf("O9: random total cost %.0f not clearly above rule-based %.0f", randC, ruleC)
 	}
 }
 

@@ -42,8 +42,8 @@ const (
 // bounds the typical event-time skew and doubles as the bounded-skew
 // watermark heuristic's allowance (watermark = max event time − skew).
 type DisorderSpec struct {
-	Kind     string `json:"kind"` // DisorderBounded or DisorderZipfBurst
-	MaxSkewMs int64 `json:"max_skew_ms"`
+	Kind      string `json:"kind"` // DisorderBounded or DisorderZipfBurst
+	MaxSkewMs int64  `json:"max_skew_ms"`
 }
 
 // Validate checks the disorder configuration.

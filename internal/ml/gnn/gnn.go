@@ -39,6 +39,9 @@ type Model struct {
 	nb    []*mlmath.Dense
 	head1 *mlmath.Dense
 	head2 *mlmath.Dense
+	// all lists every layer in snapshot order: emb, self..., nb...,
+	// head1, head2.
+	all []*mlmath.Dense
 }
 
 // New returns an untrained model with default architecture.
@@ -65,147 +68,197 @@ func (m *Model) init(rng *rand.Rand) {
 	}
 	m.head1 = mlmath.NewDense(3*h*(m.Layers+1), 32, rng)
 	m.head2 = mlmath.NewDense(32, 1, rng)
+	m.all = append([]*mlmath.Dense{m.emb}, m.self...)
+	m.all = append(m.all, m.nb...)
+	m.all = append(m.all, m.head1, m.head2)
 }
 
-// trace stores a forward pass for backpropagation.
-type trace struct {
-	g *feature.Graph
-	// pre0/h[0] are the embedding pre-activations/activations; h has
-	// Layers+1 entries of per-node vectors.
-	pre0 [][]float64
-	h    [][][]float64
-	msg  [][][]float64 // msg[l][i] = mean of h[l][In(i)]
-	z    [][][]float64 // pre-activations of layer l+1
-	pool []float64     // per-layer mean ‖ max ‖ sum, concatenated
-	amax [][]int       // per-layer argmax node per dim for max-pool backprop
-	hid1 []float64     // head hidden pre-activation
-	out  float64
+// workspace holds the buffers of one forward and backward pass. Per-node
+// vectors are Hidden-wide rows of flat slabs, and per-layer slabs follow
+// one another. The node-sized slabs only grow, so once a workspace has
+// seen the largest graph a pass allocates nothing. Train owns one
+// workspace; every Predict call makes its own, so concurrent predictions
+// share nothing mutable.
+type workspace struct {
+	n, hd, layers int // graph size, Hidden, Layers
+
+	pre0 []float64 // n×H embedding pre-activations
+	h    []float64 // (Layers+1)×n×H activations
+	msg  []float64 // Layers×n×H: msg of node i = mean of h over In(i)
+	z    []float64 // Layers×n×H pre-activations of layer l+1
+	nbz  []float64 // H: one node's neighbour transform
+	pool []float64 // per layer mean ‖ max ‖ sum, concatenated
+	amax []int     // (Layers+1)×H argmax node per dim, for max-pool backprop
+	hid1 []float64 // head hidden pre-activation
+	act1 []float64 // and activation
+	out  [1]float64
+
+	// Backward buffers.
+	dout  [1]float64
+	dact1 []float64
+	dpool []float64
+	dh    []float64 // n×H gradient w.r.t. one layer's node activations
+	dPrev []float64 // n×H the same for the layer below
+	dIn   []float64 // H gradient w.r.t. one node's layer input
 }
 
-// forward runs the network on one graph.
-func (m *Model) forward(g *feature.Graph) *trace {
-	n := len(g.Nodes)
-	t := &trace{g: g}
-	t.pre0 = make([][]float64, n)
-	h0 := make([][]float64, n)
+func (m *Model) newWorkspace() *workspace {
+	h, pool := m.Hidden, m.head1.In
+	return &workspace{
+		hd:     h,
+		layers: m.Layers,
+		nbz:    make([]float64, h),
+		pool:   make([]float64, pool),
+		amax:   make([]int, h*(m.Layers+1)),
+		hid1:   make([]float64, m.head1.Out),
+		act1:   make([]float64, m.head1.Out),
+		dact1:  make([]float64, m.head1.Out),
+		dpool:  make([]float64, pool),
+		dIn:    make([]float64, h),
+	}
+}
+
+// grow sizes a slab to n elements, reallocating only when it is too small.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// size fits the node-sized slabs to an n-node graph.
+func (ws *workspace) size(n int) {
+	ws.n = n
+	nh := n * ws.hd
+	ws.pre0 = grow(ws.pre0, nh)
+	ws.h = grow(ws.h, (ws.layers+1)*nh)
+	ws.msg = grow(ws.msg, ws.layers*nh)
+	ws.z = grow(ws.z, ws.layers*nh)
+	ws.dh = grow(ws.dh, nh)
+	ws.dPrev = grow(ws.dPrev, nh)
+}
+
+// row is node i's Hidden-wide row of a slab.
+func (ws *workspace) row(s []float64, i int) []float64 { return s[i*ws.hd : (i+1)*ws.hd] }
+
+// layer is layer l's n×Hidden part of a per-layer slab.
+func (ws *workspace) layer(s []float64, l int) []float64 {
+	w := ws.n * ws.hd
+	return s[l*w : (l+1)*w]
+}
+
+// forward runs the network on one graph, leaving every intermediate in
+// ws for backprop, and returns the predicted log latency.
+func (m *Model) forward(ws *workspace, g *feature.Graph) float64 {
+	n, hd := len(g.Nodes), m.Hidden
+	ws.size(n)
+	h0 := ws.layer(ws.h, 0)
 	for i, x := range g.Nodes {
-		t.pre0[i] = m.emb.Forward(x)
-		h0[i] = mlmath.ReLU(t.pre0[i])
+		pre := ws.row(ws.pre0, i)
+		m.emb.ForwardInto(pre, x)
+		mlmath.ReLUInto(ws.row(h0, i), pre)
 	}
-	t.h = append(t.h, h0)
 	for l := 0; l < m.Layers; l++ {
-		prev := t.h[l]
-		msgs := make([][]float64, n)
-		zs := make([][]float64, n)
-		next := make([][]float64, n)
+		prev, next := ws.layer(ws.h, l), ws.layer(ws.h, l+1)
+		msgs, zs := ws.layer(ws.msg, l), ws.layer(ws.z, l)
 		for i := 0; i < n; i++ {
-			var rows [][]float64
+			msg := ws.row(msgs, i)
+			clear(msg)
 			for _, j := range g.In[i] {
-				rows = append(rows, prev[j])
+				mlmath.Add(msg, ws.row(prev, j))
 			}
-			msgs[i] = mlmath.Mean(rows, m.Hidden)
-			z := m.self[l].Forward(prev[i])
-			mlmath.Add(z, m.nb[l].Forward(msgs[i]))
-			zs[i] = z
-			next[i] = mlmath.ReLU(z)
+			if k := len(g.In[i]); k > 0 {
+				mlmath.Scale(msg, 1/float64(k))
+			}
+			z := ws.row(zs, i)
+			m.self[l].ForwardInto(z, ws.row(prev, i))
+			m.nb[l].ForwardInto(ws.nbz, msg)
+			mlmath.Add(z, ws.nbz)
+			mlmath.ReLUInto(ws.row(next, i), z)
 		}
-		t.msg = append(t.msg, msgs)
-		t.z = append(t.z, zs)
-		t.h = append(t.h, next)
 	}
-	t.amax = make([][]int, m.Layers+1)
 	for l := 0; l <= m.Layers; l++ {
-		layer := t.h[l]
-		mean := mlmath.Mean(layer, m.Hidden)
-		max := mlmath.MaxElem(layer, m.Hidden)
+		layer := ws.layer(ws.h, l)
+		pool := ws.pool[3*hd*l : 3*hd*(l+1)]
+		mlmath.MeanInto(pool[:hd], layer)
+		mlmath.MaxElemInto(pool[hd:2*hd], ws.amax[hd*l:hd*(l+1)], layer)
 		// The sum pool carries total-work signal; scale it so deep plans
 		// do not blow up the head's input magnitude and destabilize Adam.
-		sum := mlmath.Vec(m.Hidden)
-		for _, row := range layer {
-			mlmath.Add(sum, row)
+		sum := pool[2*hd:]
+		clear(sum)
+		for i := 0; i < n; i++ {
+			mlmath.Add(sum, ws.row(layer, i))
 		}
 		mlmath.Scale(sum, sumPoolScale)
-		t.amax[l] = make([]int, m.Hidden)
-		for d := 0; d < m.Hidden; d++ {
-			best := 0
-			for i := 1; i < n; i++ {
-				if layer[i][d] > layer[best][d] {
-					best = i
-				}
-			}
-			t.amax[l][d] = best
-		}
-		t.pool = append(t.pool, mean...)
-		t.pool = append(t.pool, max...)
-		t.pool = append(t.pool, sum...)
 	}
-	t.hid1 = m.head1.Forward(t.pool)
-	t.out = m.head2.Forward(mlmath.ReLU(t.hid1))[0]
-	return t
+	m.head1.ForwardInto(ws.hid1, ws.pool)
+	mlmath.ReLUInto(ws.act1, ws.hid1)
+	m.head2.ForwardInto(ws.out[:], ws.act1)
+	return ws.out[0]
 }
 
 // backprop accumulates gradients for one example.
-func (m *Model) backprop(e ml.Example) {
-	t := m.forward(e.Graph)
-	n := len(t.g.Nodes)
-	dout := []float64{2 * (t.out - e.LogLabel())}
-	dhid1Act := m.head2.Backward(mlmath.ReLU(t.hid1), dout)
-	dhid1 := mlmath.ReLUGrad(t.hid1, dhid1Act)
-	dpool := m.head1.Backward(t.pool, dhid1)
+func (m *Model) backprop(ws *workspace, e ml.Example) {
+	g := e.Graph
+	out := m.forward(ws, g)
+	n := len(g.Nodes)
+	ws.dout[0] = 2 * (out - e.LogLabel())
+	m.head2.BackwardInto(ws.dact1, ws.act1, ws.dout[:])
+	mlmath.ReLUGradInto(ws.dact1, ws.hid1, ws.dact1)
+	m.head1.BackwardInto(ws.dpool, ws.pool, ws.dact1)
 
-	// poolGrad distributes layer l's slice of the pooled gradient onto
-	// that layer's node embeddings.
-	poolGrad := func(l int, dh [][]float64) {
-		off := 3 * m.Hidden * l
-		for d := 0; d < m.Hidden; d++ {
-			gMean := dpool[off+d] / float64(n)
-			gSum := dpool[off+2*m.Hidden+d] * sumPoolScale
-			for i := 0; i < n; i++ {
-				dh[i][d] += gMean + gSum
-			}
-			dh[t.amax[l][d]][d] += dpool[off+m.Hidden+d]
-		}
-	}
-	dh := make([][]float64, n)
-	for i := range dh {
-		dh[i] = mlmath.Vec(m.Hidden)
-	}
-	poolGrad(m.Layers, dh)
+	dh := ws.dh
+	clear(dh)
+	m.poolGrad(ws, m.Layers, dh)
 
 	// Reverse through message-passing layers, folding in each layer's
 	// jumping-knowledge pool gradient as we reach it.
+	dPrev := ws.dPrev
 	for l := m.Layers - 1; l >= 0; l-- {
-		prev := t.h[l]
-		dPrev := make([][]float64, n)
-		for i := range dPrev {
-			dPrev[i] = mlmath.Vec(m.Hidden)
-		}
+		prev := ws.layer(ws.h, l)
+		zs, msgs := ws.layer(ws.z, l), ws.layer(ws.msg, l)
+		clear(dPrev)
 		for i := 0; i < n; i++ {
-			dz := mlmath.ReLUGrad(t.z[l][i], dh[i])
-			mlmath.Add(dPrev[i], m.self[l].Backward(prev[i], dz))
-			dm := m.nb[l].Backward(t.msg[l][i], dz)
-			if k := len(t.g.In[i]); k > 0 {
-				mlmath.Scale(dm, 1/float64(k))
-				for _, j := range t.g.In[i] {
-					mlmath.Add(dPrev[j], dm)
-				}
+			dz := ws.row(dh, i)
+			mlmath.ReLUGradInto(dz, ws.row(zs, i), dz)
+			m.self[l].BackwardInto(ws.dIn, ws.row(prev, i), dz)
+			mlmath.Add(ws.row(dPrev, i), ws.dIn)
+			k := len(g.In[i])
+			if k == 0 {
+				// The message is zero and reaches no node.
+				m.nb[l].BackwardInto(nil, ws.row(msgs, i), dz)
+				continue
+			}
+			m.nb[l].BackwardInto(ws.dIn, ws.row(msgs, i), dz)
+			mlmath.Scale(ws.dIn, 1/float64(k))
+			for _, j := range g.In[i] {
+				mlmath.Add(ws.row(dPrev, j), ws.dIn)
 			}
 		}
-		poolGrad(l, dPrev)
-		dh = dPrev
+		m.poolGrad(ws, l, dPrev)
+		dh, dPrev = dPrev, dh
 	}
-	for i := 0; i < n; i++ {
-		dp := mlmath.ReLUGrad(t.pre0[i], dh[i])
-		m.emb.Backward(t.g.Nodes[i], dp)
+	for i, x := range g.Nodes {
+		dp := ws.row(dh, i)
+		mlmath.ReLUGradInto(dp, ws.row(ws.pre0, i), dp)
+		m.emb.BackwardInto(nil, x, dp)
 	}
 }
 
-func (m *Model) layers() []*mlmath.Dense {
-	out := []*mlmath.Dense{m.emb}
-	out = append(out, m.self...)
-	out = append(out, m.nb...)
-	out = append(out, m.head1, m.head2)
-	return out
+// poolGrad distributes layer l's slice of the pooled gradient onto that
+// layer's node embeddings.
+func (m *Model) poolGrad(ws *workspace, l int, dh []float64) {
+	n, hd := ws.n, m.Hidden
+	off := 3 * hd * l
+	amax := ws.amax[hd*l : hd*(l+1)]
+	for d := 0; d < hd; d++ {
+		gMean := ws.dpool[off+d] / float64(n)
+		gSum := ws.dpool[off+2*hd+d] * sumPoolScale
+		for i := 0; i < n; i++ {
+			dh[i*hd+d] += gMean + gSum
+		}
+		dh[amax[d]*hd+d] += ws.dpool[off+hd+d]
+	}
 }
 
 // Train implements ml.Model.
@@ -220,9 +273,11 @@ func (m *Model) Train(train, val *ml.Dataset, opts ml.TrainOptions) (*ml.TrainSt
 	start := time.Now()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	m.init(rng)
+	ws := m.newWorkspace()
+	predict := func(e ml.Example) float64 { return math.Exp(m.forward(ws, e.Graph)) }
 
 	best := math.Inf(1)
-	bestW := m.snapshot()
+	bestW := mlmath.Snapshot(nil, m.all)
 	sinceBest := 0
 	stats := &ml.TrainStats{Stopped: "max-epochs"}
 	idx := make([]int, train.Len())
@@ -237,60 +292,36 @@ func (m *Model) Train(train, val *ml.Dataset, opts ml.TrainOptions) (*ml.TrainSt
 				end = len(idx)
 			}
 			for _, i := range idx[b:end] {
-				m.backprop(train.Examples[i])
+				m.backprop(ws, train.Examples[i])
 			}
-			for _, l := range m.layers() {
+			for _, l := range m.all {
 				l.Step(opts.LearningRate, end-b)
 			}
 		}
 		stats.Epochs = epoch
-		loss := ml.ValLoss(m, val)
+		loss := ml.ValLossFunc(val, predict)
 		if loss < best-1e-6 {
 			best = loss
-			bestW = m.snapshot()
+			bestW = mlmath.Snapshot(bestW, m.all)
 			sinceBest = 0
 		} else if sinceBest++; sinceBest >= opts.Patience {
 			stats.Stopped = "early"
 			break
 		}
 	}
-	m.restore(bestW)
+	mlmath.Restore(m.all, bestW)
 	stats.TrainTime = time.Since(start)
 	stats.FinalValLoss = best
 	return stats, nil
 }
 
-// Predict implements ml.Model.
+// Predict implements ml.Model. It is safe for concurrent use: each call
+// runs in a workspace of its own.
 func (m *Model) Predict(e ml.Example) float64 {
 	if m.emb == nil {
 		return 1
 	}
-	return math.Exp(m.forward(e.Graph).out)
-}
-
-func (m *Model) snapshot() [][]float64 {
-	var out [][]float64
-	for _, l := range m.layers() {
-		flat := make([]float64, 0, l.ParamCount())
-		for _, row := range l.W {
-			flat = append(flat, row...)
-		}
-		flat = append(flat, l.B...)
-		out = append(out, flat)
-	}
-	return out
-}
-
-func (m *Model) restore(snap [][]float64) {
-	for li, l := range m.layers() {
-		flat := snap[li]
-		k := 0
-		for _, row := range l.W {
-			copy(row, flat[k:k+len(row)])
-			k += len(row)
-		}
-		copy(l.B, flat[k:])
-	}
+	return math.Exp(m.forward(m.newWorkspace(), e.Graph))
 }
 
 // gnnExport is the persisted form.
@@ -305,7 +336,7 @@ func (m *Model) MarshalModel() ([]byte, error) {
 	if m.emb == nil {
 		return nil, fmt.Errorf("gnn: model not trained")
 	}
-	return json.Marshal(gnnExport{Hidden: m.Hidden, Layers: m.Layers, Blocks: m.snapshot()})
+	return json.Marshal(gnnExport{Hidden: m.Hidden, Layers: m.Layers, Blocks: mlmath.Snapshot(nil, m.all)})
 }
 
 // UnmarshalModel implements ml.Persistable.
@@ -320,15 +351,14 @@ func (m *Model) UnmarshalModel(data []byte) error {
 	m.Hidden = e.Hidden
 	m.Layers = e.Layers
 	m.init(rand.New(rand.NewSource(1)))
-	layers := m.layers()
-	if len(e.Blocks) != len(layers) {
-		return fmt.Errorf("gnn: export has %d blocks, want %d", len(e.Blocks), len(layers))
+	if len(e.Blocks) != len(m.all) {
+		return fmt.Errorf("gnn: export has %d blocks, want %d", len(e.Blocks), len(m.all))
 	}
-	for i, l := range layers {
+	for i, l := range m.all {
 		if len(e.Blocks[i]) != l.ParamCount() {
 			return fmt.Errorf("gnn: block %d has %d params, want %d", i, len(e.Blocks[i]), l.ParamCount())
 		}
 	}
-	m.restore(e.Blocks)
+	mlmath.Restore(m.all, e.Blocks)
 	return nil
 }

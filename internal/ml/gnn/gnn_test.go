@@ -9,6 +9,7 @@ import (
 	"pdspbench/internal/ml/feature"
 	"pdspbench/internal/ml/mltest"
 	"pdspbench/internal/stats"
+	"pdspbench/internal/testutil"
 	"pdspbench/internal/workload"
 )
 
@@ -22,11 +23,12 @@ func TestGradientCheck(t *testing.T) {
 	g := feature.EncodeGraph(mltest.Plan(workload.StructTwoWayJoin, 4, 100_000), nil)
 	e := ml.Example{Graph: g, Latency: 2.5}
 
+	ws := m.newWorkspace()
 	loss := func() float64 {
-		d := m.forward(g).out - e.LogLabel()
+		d := m.forward(ws, g) - e.LogLabel()
 		return d * d
 	}
-	m.backprop(e)
+	m.backprop(ws, e)
 
 	const eps = 1e-6
 	check := func(name string, w []float64, grad []float64) {
@@ -43,7 +45,7 @@ func TestGradientCheck(t *testing.T) {
 			}
 		}
 	}
-	layers := m.layers()
+	layers := m.all
 	names := []string{"emb", "self0", "self1", "nb0", "nb1", "head1", "head2"}
 	for li, l := range layers {
 		for o := range l.W {
@@ -102,5 +104,31 @@ func TestRejectsDatasetWithoutGraphs(t *testing.T) {
 	ds := &ml.Dataset{Examples: []ml.Example{{Flat: []float64{1}, Latency: 1}}}
 	if _, err := New().Train(ds, ds, ml.TrainOptions{}); err == nil {
 		t.Error("GNN accepted dataset without graph encodings")
+	}
+}
+
+// TestTrainingPassesDoNotAllocate: once a workspace has seen the largest
+// graph, backprop and the validation forward pass allocate nothing.
+func TestTrainingPassesDoNotAllocate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	m := New()
+	m.init(rand.New(rand.NewSource(3)))
+	ds := mltest.Corpus(20, 5, nil)
+	ws := m.newWorkspace()
+	for _, e := range ds.Examples {
+		m.backprop(ws, e)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		m.backprop(ws, ds.Examples[i%ds.Len()])
+		i++
+	}); n != 0 {
+		t.Errorf("backprop: %v allocs per example, want 0", n)
+	}
+	predict := func(e ml.Example) float64 { return math.Exp(m.forward(ws, e.Graph)) }
+	if n := testing.AllocsPerRun(10, func() { ml.ValLossFunc(ds, predict) }); n != 0 {
+		t.Errorf("validation pass: %v allocs, want 0", n)
 	}
 }

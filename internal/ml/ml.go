@@ -122,13 +122,17 @@ type Model interface {
 
 // ValLoss computes mean squared error in log space over a dataset — the
 // uniform early-stopping criterion.
-func ValLoss(m Model, ds *Dataset) float64 {
+func ValLoss(m Model, ds *Dataset) float64 { return ValLossFunc(ds, m.Predict) }
+
+// ValLossFunc is ValLoss over any prediction function, such as a
+// training loop's forward pass in buffers it already holds.
+func ValLossFunc(ds *Dataset, predict func(Example) float64) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
 	var sum float64
 	for _, e := range ds.Examples {
-		p := m.Predict(e)
+		p := predict(e)
 		if p < 1e-9 {
 			p = 1e-9
 		}

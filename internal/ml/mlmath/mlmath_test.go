@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"pdspbench/internal/testutil"
 )
 
 func TestDotAddScale(t *testing.T) {
@@ -22,38 +24,53 @@ func TestDotAddScale(t *testing.T) {
 }
 
 func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dot accepted mismatched lengths")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
+	d := NewDense(3, 8, rand.New(rand.NewSource(1)))
+	for name, call := range map[string]func(){
+		"Dot":         func() { Dot([]float64{1}, []float64{1, 2}) },
+		"ForwardInto": func() { d.ForwardInto(make([]float64, 8), make([]float64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted mismatched lengths", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestMeanAndMaxElem(t *testing.T) {
-	rows := [][]float64{{1, 5}, {3, 1}}
-	m := Mean(rows, 2)
-	if m[0] != 2 || m[1] != 3 {
-		t.Errorf("Mean = %v", m)
+	rows := []float64{1, 5, 3, 1, 2, 5}
+	m := make([]float64, 2)
+	MeanInto(m, rows)
+	if m[0] != 2 || m[1] != 11.0/3 {
+		t.Errorf("MeanInto = %v", m)
 	}
-	mx := MaxElem(rows, 2)
-	if mx[0] != 3 || mx[1] != 5 {
-		t.Errorf("MaxElem = %v", mx)
+	mx, arg := []float64{9, 9}, []int{7, 7}
+	MaxElemInto(mx, arg, rows)
+	if mx[0] != 3 || mx[1] != 5 || arg[0] != 1 || arg[1] != 0 {
+		t.Errorf("MaxElemInto = %v at rows %v, want [3 5] at [1 0] (first row on ties)", mx, arg)
 	}
-	if z := Mean(nil, 3); z[0] != 0 || len(z) != 3 {
-		t.Errorf("Mean(empty) = %v", z)
+	z := []float64{4, 4, 4}
+	MeanInto(z, nil)
+	MaxElemInto(mx, arg, nil)
+	if z[0] != 0 || z[2] != 0 || mx[0] != 0 || arg[0] != 0 {
+		t.Errorf("empty input: mean %v, max %v at %v; want zeros", z, mx, arg)
 	}
 }
 
 func TestReLUAndGrad(t *testing.T) {
 	x := []float64{-1, 0, 2}
-	y := ReLU(x)
+	y := []float64{7, 7, 7}
+	ReLUInto(y, x)
 	if y[0] != 0 || y[1] != 0 || y[2] != 2 {
-		t.Errorf("ReLU = %v", y)
+		t.Errorf("ReLUInto = %v", y)
 	}
-	g := ReLUGrad(x, []float64{5, 5, 5})
+	g := []float64{5, 5, 5}
+	ReLUGradInto(g, x, g)
 	if g[0] != 0 || g[1] != 0 || g[2] != 5 {
-		t.Errorf("ReLUGrad = %v", g)
+		t.Errorf("ReLUGradInto = %v", g)
 	}
 }
 
@@ -66,8 +83,9 @@ func TestDenseGradientCheck(t *testing.T) {
 	x := []float64{0.5, -1, 2, 0.3}
 	target := []float64{1, -2, 0.5}
 
+	y := make([]float64, 3)
 	loss := func() float64 {
-		y := d.Forward(x)
+		d.ForwardInto(y, x)
 		var s float64
 		for i := range y {
 			diff := y[i] - target[i]
@@ -77,12 +95,13 @@ func TestDenseGradientCheck(t *testing.T) {
 	}
 
 	// Analytic gradients.
-	y := d.Forward(x)
+	d.ForwardInto(y, x)
 	gradOut := make([]float64, 3)
 	for i := range y {
 		gradOut[i] = 2 * (y[i] - target[i])
 	}
-	gradIn := d.Backward(x, gradOut)
+	gradIn := make([]float64, 4)
+	d.BackwardInto(gradIn, x, gradOut)
 
 	const eps = 1e-6
 	// Check weight gradients.
@@ -118,7 +137,7 @@ func TestDenseGradientCheck(t *testing.T) {
 func TestDenseStepClearsGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := NewDense(2, 2, rng)
-	d.Backward([]float64{1, 1}, []float64{1, 1})
+	d.BackwardInto(nil, []float64{1, 1}, []float64{1, 1})
 	d.Step(0.01, 1)
 	for o := range d.GW {
 		for i := range d.GW[o] {
@@ -137,13 +156,13 @@ func TestDenseStepClearsGradients(t *testing.T) {
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (x-3)² with Adam; must converge near 3.
 	a := NewAdam(1)
-	x := 0.0
+	x, g := []float64{0}, []float64{0}
 	for i := 0; i < 3000; i++ {
-		g := 2 * (x - 3)
-		x -= a.Update(0, g, 0.05)
+		g[0] = 2 * (x[0] - 3)
+		a.Step(x, g, 1, 0.05)
 	}
-	if math.Abs(x-3) > 0.05 {
-		t.Errorf("Adam converged to %v, want ≈3", x)
+	if math.Abs(x[0]-3) > 0.05 {
+		t.Errorf("Adam converged to %v, want ≈3", x[0])
 	}
 }
 
@@ -151,18 +170,126 @@ func TestDenseLearnsLinearMap(t *testing.T) {
 	// A single Dense layer trained with Adam must fit y = 2x₀ − x₁ + 1.
 	rng := rand.New(rand.NewSource(3))
 	d := NewDense(2, 1, rng)
+	y := make([]float64, 1)
 	for epoch := 0; epoch < 2000; epoch++ {
 		x := []float64{rng.Float64()*4 - 2, rng.Float64()*4 - 2}
 		want := 2*x[0] - x[1] + 1
-		y := d.Forward(x)
-		d.Backward(x, []float64{2 * (y[0] - want)})
+		d.ForwardInto(y, x)
+		d.BackwardInto(nil, x, []float64{2 * (y[0] - want)})
 		d.Step(0.02, 1)
 	}
-	x := []float64{1, 1}
-	if got := d.Forward(x)[0]; math.Abs(got-2) > 0.1 {
+	d.ForwardInto(y, []float64{1, 1})
+	if got := y[0]; math.Abs(got-2) > 0.1 {
 		t.Errorf("learned f(1,1) = %v, want 2", got)
 	}
 	if d.ParamCount() != 3 {
 		t.Errorf("ParamCount = %d, want 3", d.ParamCount())
+	}
+}
+
+// TestBlockedKernelsMatchRowAtATime pins the register-blocked kernels
+// to their row-at-a-time definitions, bit for bit, across shapes that
+// leave every remainder of the four-row blocking: ForwardInto to one Dot
+// per row, BackwardInto to one row at a time with zero-gradient rows
+// skipped.
+func TestBlockedKernelsMatchRowAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, out := range []int{1, 3, 4, 5, 33} {
+		for _, in := range []int{0, 1, 7, 32} {
+			d := NewDense(in, out, rng)
+			for i := range d.B {
+				d.B[i] = rng.NormFloat64()
+			}
+			x := make([]float64, in)
+			for i := range x {
+				x[i] = rng.NormFloat64() * 3
+			}
+			got := make([]float64, out)
+			d.ForwardInto(got, x)
+			for o := 0; o < out; o++ {
+				if want := Dot(d.W[o], x) + d.B[o]; !same(got[o], want) {
+					t.Errorf("forward out=%d in=%d: row %d = %v, want %v", out, in, o, got[o], want)
+				}
+			}
+
+			gradOut := make([]float64, out)
+			for o := range gradOut {
+				if rng.Intn(3) > 0 {
+					gradOut[o] = rng.NormFloat64()
+				}
+			}
+			wantGW := make([][]float64, out)
+			wantGB := append([]float64(nil), d.GB...)
+			wantIn := make([]float64, in)
+			for o, g := range gradOut {
+				wantGW[o] = append([]float64(nil), d.GW[o]...)
+				if g == 0 {
+					continue
+				}
+				wantGB[o] += g
+				for i := range x {
+					wantGW[o][i] += g * x[i]
+					wantIn[i] += g * d.W[o][i]
+				}
+			}
+			gradIn := make([]float64, in)
+			d.BackwardInto(gradIn, x, gradOut)
+			for i := range gradIn {
+				if !same(gradIn[i], wantIn[i]) {
+					t.Errorf("backward out=%d in=%d: gradIn[%d] = %v, want %v", out, in, i, gradIn[i], wantIn[i])
+				}
+			}
+			for o := range wantGW {
+				if !same(d.GB[o], wantGB[o]) {
+					t.Errorf("backward out=%d in=%d: GB[%d] = %v, want %v", out, in, o, d.GB[o], wantGB[o])
+				}
+				for i := range x {
+					if !same(d.GW[o][i], wantGW[o][i]) {
+						t.Errorf("backward out=%d in=%d: GW[%d][%d] = %v, want %v", out, in, o, i, d.GW[o][i], wantGW[o][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	layers := []*Dense{NewDense(3, 5, rng), NewDense(5, 1, rng)}
+	snap := Snapshot(nil, layers)
+	if len(snap[0]) != 20 || snap[0][15] != layers[0].B[0] || snap[1][5] != layers[1].B[0] {
+		t.Fatalf("snapshot blocks are not W row by row, then B: %v", snap)
+	}
+	want := append([]float64(nil), snap[0]...)
+	layers[0].W[1][2] = 42
+	again := Snapshot(snap, layers)
+	if &again[0][0] != &snap[0][0] || again[0][5] != 42 {
+		t.Error("Snapshot did not reuse and refresh the blocks it was given")
+	}
+	again[0][5] = want[5]
+	Restore(layers, again)
+	if layers[0].W[1][2] != want[5] {
+		t.Errorf("Restore left W[1][2] = %v, want %v", layers[0].W[1][2], want[5])
+	}
+}
+
+func TestDenseKernelsDoNotAllocate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	d := NewDense(32, 33, rand.New(rand.NewSource(4)))
+	x, y, gradIn := make([]float64, 32), make([]float64, 33), make([]float64, 32)
+	for i := range x {
+		x[i] = float64(i) - 10
+	}
+	if n := testing.AllocsPerRun(100, func() { d.ForwardInto(y, x) }); n != 0 {
+		t.Errorf("ForwardInto: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.BackwardInto(gradIn, x, y) }); n != 0 {
+		t.Errorf("BackwardInto: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Step(1e-3, 4) }); n != 0 {
+		t.Errorf("Step: %v allocs per call, want 0", n)
 	}
 }

@@ -53,8 +53,11 @@ func (m *Model) Train(train, val *ml.Dataset, opts ml.TrainOptions) (*ml.TrainSt
 		m.layers = append(m.layers, mlmath.NewDense(dims[i], dims[i+1], rng))
 	}
 
+	ws := m.newWorkspace()
+	predict := func(e ml.Example) float64 { return math.Exp(m.forward(ws, e.Flat)) }
+
 	best := math.Inf(1)
-	bestW := m.snapshot()
+	bestW := mlmath.Snapshot(nil, m.layers)
 	sinceBest := 0
 	stats := &ml.TrainStats{Stopped: "max-epochs"}
 	idx := make([]int, train.Len())
@@ -69,92 +72,84 @@ func (m *Model) Train(train, val *ml.Dataset, opts ml.TrainOptions) (*ml.TrainSt
 				end = len(idx)
 			}
 			for _, i := range idx[b:end] {
-				m.backprop(train.Examples[i])
+				m.backprop(ws, train.Examples[i])
 			}
 			for _, l := range m.layers {
 				l.Step(opts.LearningRate, end-b)
 			}
 		}
 		stats.Epochs = epoch
-		loss := ml.ValLoss(m, val)
+		loss := ml.ValLossFunc(val, predict)
 		if loss < best-1e-6 {
 			best = loss
-			bestW = m.snapshot()
+			bestW = mlmath.Snapshot(bestW, m.layers)
 			sinceBest = 0
 		} else if sinceBest++; sinceBest >= opts.Patience {
 			stats.Stopped = "early"
 			break
 		}
 	}
-	m.restore(bestW)
+	mlmath.Restore(m.layers, bestW)
 	stats.TrainTime = time.Since(start)
 	stats.FinalValLoss = best
 	return stats, nil
 }
 
-// forward returns pre-activations and activations per layer.
-func (m *Model) forward(x []float64) (pre, act [][]float64) {
-	act = append(act, x)
-	h := x
+// workspace holds one pass's per-layer buffers: pre[i] is layer i's
+// output, act[i] its input (act[0] is the example's own encoding), and
+// grad[i] the gradient with respect to pre[i]. Train owns one workspace;
+// every Predict call makes its own, so concurrent predictions share
+// nothing mutable.
+type workspace struct {
+	pre, act, grad [][]float64
+}
+
+func (m *Model) newWorkspace() *workspace {
+	ws := &workspace{act: make([][]float64, len(m.layers))}
 	for i, l := range m.layers {
-		z := l.Forward(h)
-		pre = append(pre, z)
-		if i < len(m.layers)-1 {
-			h = mlmath.ReLU(z)
-		} else {
-			h = z
+		ws.pre = append(ws.pre, make([]float64, l.Out))
+		ws.grad = append(ws.grad, make([]float64, l.Out))
+		if i > 0 {
+			ws.act[i] = make([]float64, l.In)
 		}
-		act = append(act, h)
 	}
-	return pre, act
+	return ws
+}
+
+// forward leaves every layer's input and output in ws and returns the
+// predicted log latency.
+func (m *Model) forward(ws *workspace, x []float64) float64 {
+	ws.act[0] = x
+	last := len(m.layers) - 1
+	for i, l := range m.layers {
+		l.ForwardInto(ws.pre[i], ws.act[i])
+		if i < last {
+			mlmath.ReLUInto(ws.act[i+1], ws.pre[i])
+		}
+	}
+	return ws.pre[last][0]
 }
 
 // backprop accumulates gradients for one example (MSE on log latency).
-func (m *Model) backprop(e ml.Example) {
-	pre, act := m.forward(e.Flat)
-	out := act[len(act)-1][0]
-	grad := []float64{2 * (out - e.LogLabel())}
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		grad = m.layers[i].Backward(act[i], grad)
-		if i > 0 {
-			grad = mlmath.ReLUGrad(pre[i-1], grad)
-		}
+func (m *Model) backprop(ws *workspace, e ml.Example) {
+	out := m.forward(ws, e.Flat)
+	last := len(m.layers) - 1
+	ws.grad[last][0] = 2 * (out - e.LogLabel())
+	for i := last; i > 0; i-- {
+		m.layers[i].BackwardInto(ws.grad[i-1], ws.act[i], ws.grad[i])
+		mlmath.ReLUGradInto(ws.grad[i-1], ws.pre[i-1], ws.grad[i-1])
 	}
+	// The input encoding needs no gradient.
+	m.layers[0].BackwardInto(nil, ws.act[0], ws.grad[0])
 }
 
-// Predict implements ml.Model.
+// Predict implements ml.Model. It is safe for concurrent use: each call
+// runs in a workspace of its own.
 func (m *Model) Predict(e ml.Example) float64 {
 	if m.layers == nil {
 		return 1
 	}
-	_, act := m.forward(e.Flat)
-	return math.Exp(act[len(act)-1][0])
-}
-
-// snapshot/restore implement early stopping's best-weights memory.
-func (m *Model) snapshot() [][]float64 {
-	var out [][]float64
-	for _, l := range m.layers {
-		flat := make([]float64, 0, l.ParamCount())
-		for _, row := range l.W {
-			flat = append(flat, row...)
-		}
-		flat = append(flat, l.B...)
-		out = append(out, flat)
-	}
-	return out
-}
-
-func (m *Model) restore(snap [][]float64) {
-	for li, l := range m.layers {
-		flat := snap[li]
-		k := 0
-		for _, row := range l.W {
-			copy(row, flat[k:k+len(row)])
-			k += len(row)
-		}
-		copy(l.B, flat[k:])
-	}
+	return math.Exp(m.forward(m.newWorkspace(), e.Flat))
 }
 
 // mlpExport is the persisted form: layer dimensions plus the flattened
@@ -169,7 +164,7 @@ func (m *Model) MarshalModel() ([]byte, error) {
 	if m.layers == nil {
 		return nil, fmt.Errorf("mlp: model not trained")
 	}
-	e := mlpExport{Blocks: m.snapshot()}
+	e := mlpExport{Blocks: mlmath.Snapshot(nil, m.layers)}
 	e.Dims = append(e.Dims, m.layers[0].In)
 	for _, l := range m.layers {
 		e.Dims = append(e.Dims, l.Out)
@@ -196,6 +191,6 @@ func (m *Model) UnmarshalModel(data []byte) error {
 		}
 		m.layers = append(m.layers, l)
 	}
-	m.restore(e.Blocks)
+	mlmath.Restore(m.layers, e.Blocks)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"pdspbench/internal/ml"
 	"pdspbench/internal/ml/mltest"
 	"pdspbench/internal/stats"
+	"pdspbench/internal/testutil"
 )
 
 func TestLearnsNonlinearFunction(t *testing.T) {
@@ -97,5 +98,30 @@ func TestBestWeightsRestoredAfterEarlyStop(t *testing.T) {
 	got := ml.ValLoss(m, val)
 	if math.Abs(got-st.FinalValLoss) > 1e-9 {
 		t.Errorf("restored val loss %v != reported best %v", got, st.FinalValLoss)
+	}
+}
+
+// TestTrainingPassesDoNotAllocate: backprop and the validation forward
+// pass run in the training workspace and allocate nothing.
+func TestTrainingPassesDoNotAllocate(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	ds := mltest.Corpus(20, 5, nil)
+	m := New()
+	if _, err := m.Train(ds, ds, ml.TrainOptions{MaxEpochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ws := m.newWorkspace()
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		m.backprop(ws, ds.Examples[i%ds.Len()])
+		i++
+	}); n != 0 {
+		t.Errorf("backprop: %v allocs per example, want 0", n)
+	}
+	predict := func(e ml.Example) float64 { return math.Exp(m.forward(ws, e.Flat)) }
+	if n := testing.AllocsPerRun(10, func() { ml.ValLossFunc(ds, predict) }); n != 0 {
+		t.Errorf("validation pass: %v allocs, want 0", n)
 	}
 }

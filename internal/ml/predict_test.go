@@ -1,0 +1,53 @@
+package ml_test
+
+import (
+	"sync"
+	"testing"
+
+	"pdspbench/internal/ml"
+	"pdspbench/internal/ml/gnn"
+	"pdspbench/internal/ml/mlp"
+	"pdspbench/internal/ml/mltest"
+)
+
+// TestConcurrentPredictMatchesSerial: a trained model serves concurrent
+// Predict calls (controller.Predictor is a library type) with the same
+// results as serial calls. Run under -race it also shows that Predict
+// shares no buffer between callers.
+func TestConcurrentPredictMatchesSerial(t *testing.T) {
+	ds := mltest.Corpus(60, 17, nil)
+	train, val, test := ds.Split(0.7, 0.15, 1)
+	opts := ml.TrainOptions{MaxEpochs: 3, Patience: 3}
+	for _, m := range []ml.Model{mlp.New(), gnn.New()} {
+		if _, err := m.Train(train, val, opts); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, test.Len())
+		for i, e := range test.Examples {
+			want[i] = m.Predict(e)
+		}
+		const workers = 4
+		got := make([][]float64, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			got[w] = make([]float64, test.Len())
+			wg.Add(1)
+			go func(out []float64) {
+				defer wg.Done()
+				for r := 0; r < 3; r++ {
+					for i, e := range test.Examples {
+						out[i] = m.Predict(e)
+					}
+				}
+			}(got[w])
+		}
+		wg.Wait()
+		for w := range got {
+			for i := range want {
+				if got[w][i] != want[i] {
+					t.Fatalf("%s: worker %d prediction %d = %v, serial %v", m.Name(), w, i, got[w][i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -587,4 +587,3 @@ func TestUnknownRunID(t *testing.T) {
 		}
 	}
 }
-
