@@ -225,7 +225,6 @@ func cmdRun(ctx context.Context, args []string) error {
 	tuples := fs.Int("tuples", backend.DefaultTuplesPerSource, "tuples per source instance (real backend)")
 	fast := fs.Bool("fast", false, "reduced simulation fidelity")
 	faults := fs.String("faults", "", "fault plan: 'kind:key=val,...;...' spec or @file.json (see internal/chaos)")
-	columnar := fs.Bool("columnar", false, "columnar data plane on the real engine: struct-of-arrays batches + vectorized filter kernels (requires --backend=real)")
 	disorder := fs.String("disorder", "", "event-time disorder on every source: kind:maxSkewMs (bounded:50 shuffles within the skew, zipfburst:50 adds a heavy Zipf delay tail)")
 	lateness := fs.Int64("lateness", 0, "allowed lateness in ms: windows delay firing by this much watermark progress and drop (and count) tuples later still")
 	fs.Parse(args)
@@ -237,13 +236,6 @@ func cmdRun(ctx context.Context, args []string) error {
 	c.EventRate = *rate
 	if err := backendByName(c, *backendName); err != nil {
 		return err
-	}
-	if *columnar {
-		r, ok := c.Backend.(*backend.Real)
-		if !ok {
-			return fmt.Errorf("--columnar requires --backend=real (the simulator has no data plane to vectorize)")
-		}
-		r.Opts.Columnar = true
 	}
 	cl, err := clusterByName(c, *clusterName)
 	if err != nil {
@@ -322,7 +314,6 @@ func cmdExec(ctx context.Context, args []string) error {
 	backendName := fs.String("backend", "real", "execution backend: real | sim")
 	out := fs.String("out", "pdspbench-data", "store directory for the run record (empty to skip)")
 	faults := fs.String("faults", "", "fault plan: 'kind:key=val,...;...' spec or @file.json (see internal/chaos)")
-	columnar := fs.Bool("columnar", false, "columnar data plane on the real engine: struct-of-arrays batches + vectorized filter kernels (requires --backend=real)")
 	disorder := fs.String("disorder", "", "event-time disorder on every source: kind:maxSkewMs (bounded:50 shuffles within the skew, zipfburst:50 adds a heavy Zipf delay tail)")
 	lateness := fs.Int64("lateness", 0, "allowed lateness in ms: windows delay firing by this much watermark progress and drop (and count) tuples later still")
 	fs.Parse(args)
@@ -344,13 +335,6 @@ func cmdExec(ctx context.Context, args []string) error {
 	b, err := backend.ByName(*backendName)
 	if err != nil {
 		return err
-	}
-	if *columnar {
-		r, ok := b.(*backend.Real)
-		if !ok {
-			return fmt.Errorf("--columnar requires --backend=real (the simulator has no data plane to vectorize)")
-		}
-		r.Opts.Columnar = true
 	}
 	c := controller.Fast()
 	if *out != "" {

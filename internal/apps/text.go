@@ -3,6 +3,8 @@ package apps
 import (
 	"math/rand"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"pdspbench/internal/core"
 	"pdspbench/internal/engine"
@@ -65,18 +67,88 @@ var WordCount = &App{
 }
 
 // splitter emits one (word, 1) tuple per word of the sentence field.
+// Both of its paths, rows and columns, split with nextWord.
 type splitter struct{}
 
+// wordKinds are the splitter's output columns: the word and its count.
+var wordKinds = []tuple.Type{tuple.TypeString, tuple.TypeInt}
+
+// Process emits pooled (word, 1) tuples and releases its input.
 func (splitter) Process(t *tuple.Tuple, emit func(*tuple.Tuple)) {
-	for _, w := range strings.Fields(t.At(0).S) {
-		emit(&tuple.Tuple{
-			Values:    []tuple.Value{tuple.String(w), tuple.Int(1)},
-			EventTime: t.EventTime, Ingest: t.Ingest,
-		})
+	s, et, ing := t.At(0).S, t.EventTime, t.Ingest
+	t.Release()
+	for start, end := nextWord(s, 0); start < end; start, end = nextWord(s, end) {
+		w := tuple.Get(2)
+		w.Values[0], w.Values[1] = tuple.String(s[start:end]), tuple.Int(1)
+		w.EventTime, w.Ingest = et, ing
+		emit(w)
 	}
 }
 
 func (splitter) Flush(func(*tuple.Tuple)) {}
+
+// OutKinds implements engine.ColumnUDO.
+func (splitter) OutKinds() []tuple.Type { return wordKinds }
+
+// ProcessColumns implements engine.ColumnUDO: the words of every
+// selected sentence, appended as (word, 1) rows. A sentence column of
+// another kind reads as "" on the row path, so it splits into nothing.
+func (splitter) ProcessColumns(in *tuple.ColumnBatch, out *engine.ColumnOut) {
+	if in.Kind(0) != tuple.TypeString {
+		return
+	}
+	strs, ev, inge := in.StrCol(0), in.EventCol(), in.IngestCol()
+	for _, r := range in.Sel() {
+		s := strs[r]
+		for start, end := nextWord(s, 0); start < end; start, end = nextWord(s, end) {
+			b, i := out.Row(ev[r], inge[r])
+			b.StrCol(0)[i] = s[start:end]
+			b.IntCol(1)[i] = 1
+		}
+	}
+}
+
+// asciiSpace marks the bytes below utf8.RuneSelf that unicode.IsSpace
+// accepts, the table strings.Fields uses.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextWord returns the bounds of the first word of s at or after byte
+// i, splitting exactly as strings.Fields does: on runs of
+// unicode.IsSpace, with invalid UTF-8 bytes part of a word. ASCII bytes
+// take a table lookup; only other bytes decode as runes. start == end
+// when no word remains.
+func nextWord(s string, i int) (start, end int) {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	start = i
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	return start, i
+}
 
 // --- TT: Trending Topics ---------------------------------------------------
 

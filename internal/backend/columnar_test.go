@@ -31,7 +31,8 @@ func (c *columnarTap) sorted() []string {
 }
 
 // TestColumnarBackendParity runs every DefaultParityCases plan on the
-// real backend with the columnar plane off and on: the sink multisets
+// real backend on the row plane and on the default columnar plane: the
+// sink multisets
 // must be identical, tuple for tuple. Plans run at parallelism 1 so the
 // row plane itself is deterministic — with racing instances, channel
 // interleaving perturbs float-sum order and watermark progress, and
@@ -48,18 +49,18 @@ func TestColumnarBackendParity(t *testing.T) {
 		pc := pc
 		t.Run(pc.Name, func(t *testing.T) {
 			pc.Plan.SetUniformParallelism(1)
-			run := func(columnar bool) []string {
+			run := func(rowPlane bool) []string {
 				tap := &columnarTap{}
 				spec := pc.Spec
 				spec.SinkTap = tap.tap
-				b := &Real{Opts: engine.Options{Columnar: columnar, ChainOperators: true}}
+				b := &Real{Opts: engine.Options{RowPlane: rowPlane, ChainOperators: true}}
 				if _, err := b.Run(context.Background(), pc.Plan, cl, spec); err != nil {
-					t.Fatalf("columnar=%v: %v", columnar, err)
+					t.Fatalf("rowPlane=%v: %v", rowPlane, err)
 				}
 				return tap.sorted()
 			}
-			want := run(false)
-			got := run(true)
+			want := run(true)
+			got := run(false)
 			if len(want) == 0 {
 				t.Fatalf("row run delivered no sink tuples")
 			}

@@ -37,6 +37,11 @@ type chainedOp struct {
 	// column.go). Nil until then; row-only chains never populate it.
 	kern   core.Kernel
 	kfield int
+	// cudo and cout are the UDO's columnar fast path and its appender,
+	// set only when the UDO implements ColumnUDO on a column-accepting
+	// instance.
+	cudo ColumnUDO
+	cout *ColumnOut
 }
 
 // buildChains partitions the plan's operators into chains (each a slice
@@ -103,6 +108,10 @@ func (c *chainedOp) initState(oi *opInstance) {
 	case core.OpUDO, core.OpMap, core.OpFlatMap:
 		if c.op.UDO != nil {
 			c.udo = oi.rt.opts.UDOs[c.op.UDO.Name](oi.idx)
+			if cu, ok := c.udo.(ColumnUDO); ok && oi.colOK {
+				c.cudo = cu
+				c.cout = &ColumnOut{kinds: cu.OutKinds(), rows: oi.rt.opts.ColumnarBatch, nOut: &c.nOut}
+			}
 		}
 	}
 }
@@ -114,6 +123,9 @@ func (c *chainedOp) bindEmit(oi *opInstance, i int) {
 	c.emit = func(out *tuple.Tuple) {
 		c.nOut++
 		oi.applyAt(i+1, out, 0)
+	}
+	if c.cout != nil {
+		c.cout.next = func(cb *tuple.ColumnBatch) { oi.applyColumns(i+1, cb) }
 	}
 	if c.join != nil {
 		if oi.colJoin {

@@ -8,26 +8,32 @@ import (
 	"pdspbench/internal/tuple"
 )
 
-// The columnar data plane (Options.Columnar): source chains fill
-// struct-of-arrays batches (tuple.ColumnBatch), stateless chains run
-// compiled kernels over contiguous slabs, and the row plane takes over
-// automatically wherever a chain needs per-row semantics.
+// The columnar data plane is the engine's default (Options.RowPlane
+// opts out): source chains fill struct-of-arrays batches
+// (tuple.ColumnBatch), column-accepting chains run over contiguous
+// slabs, and the row plane takes over automatically wherever a chain
+// needs per-row semantics.
 //
-// A chain accepts columnar input iff every fused operator is one of
-// {filter, sink, map/flatMap without a UDO}: filters compile to
+// A chain accepts columnar input iff its fused operators, in order, are
+// filters, sinks, map/flatMaps without a UDO (identity pass-throughs)
+// and UDO/map/flatMaps whose registered UDO implements ColumnUDO, up to
+// an optional keyed tumbling count window: filters compile to
 // core.Kernel selection-vector loops, sinks count/measure straight off
-// the columns, and spec-less map/flatMap are identity pass-throughs.
-// Aggregates, joins and UDOs keep the row plane — their per-row state
-// transitions gain nothing from slabs — and the ROUTER is where the
-// fallback happens: a columnar batch addressed to a row-only chain is
-// materialized row by row through the existing per-tuple send path, so
+// the columns, ColumnUDOs append their output rows through a ColumnOut,
+// and the count window folds straight from the key and value columns.
+// The window's results leave as rows, so whatever follows it in the
+// chain runs on the row plane. Time and sliding windows, sessions,
+// joins and row-only UDOs keep the row plane, and the ROUTER is where
+// the fallback happens: a columnar batch addressed to a row-only chain
+// is materialized row by row through the per-tuple send path, so
 // routing (and therefore any keyed state downstream) is bit-identical
 // to a row-plane run. Fallback batches are counted in
 // Report.ColumnarFallbackBatches so tests and operators can see it.
 //
-// Two Options force the row plane entirely: Throttle (pacing is
+// Three things force the row plane entirely: Options.RowPlane (the
+// reference plane of the equivalence suites), Throttle (pacing is
 // per-tuple) and Faults (the chaos machinery kills at row message
-// boundaries); New clears Columnar when either is set.
+// boundaries).
 
 // ColumnFiller is the optional generator fast path: a source generator
 // that can fill a column batch directly (writing slabs instead of
@@ -42,21 +48,140 @@ type ColumnFiller interface {
 	NextColumns(b *tuple.ColumnBatch) int
 }
 
-// chainAcceptsColumns reports whether a chain's fused operators can all
-// execute on column batches.
-func chainAcceptsColumns(ops []*core.Operator) bool {
+// ColumnUDO is the optional UDO fast path on the columnar plane: a UDO
+// that can process a whole column batch and append its outputs as
+// column rows implements it. The contract: ProcessColumns emits exactly
+// the rows Process would emit for the selected rows of in, in the same
+// order, with the same event and ingest times, and it never retains in
+// (the engine releases it on return). OutKinds names the output
+// columns' kinds, fixed for the UDO's lifetime. A panic inside
+// ProcessColumns counts as one UDO panic and drops the rest of the
+// input batch and the output row reserved last; rows reserved before it
+// go downstream. Rebalance partitioning hands a ColumnUDO's instances
+// whole batches in turn, not rows in turn as on the row plane, so
+// instances see different rows on the two planes: a ColumnUDO must not
+// let per-instance state change what it emits.
+type ColumnUDO interface {
+	UDO
+	OutKinds() []tuple.Type
+	ProcessColumns(in *tuple.ColumnBatch, out *ColumnOut)
+}
+
+// ColumnOut is the appender a ColumnUDO writes its output rows through:
+// Row hands out the next row of a pooled outgoing batch. When that
+// batch is full, the next Row call runs the rest of the chain on it and
+// starts a new one; the engine ships the partial batch when
+// ProcessColumns returns.
+type ColumnOut struct {
+	kinds []tuple.Type
+	rows  int
+	cb    *tuple.ColumnBatch
+	// next runs the chain after the UDO on a sealed batch; nOut is the
+	// UDO's output counter.
+	next func(*tuple.ColumnBatch)
+	nOut *uint64
+}
+
+// NewColumnOut returns an appender that hands sealed batches of up to
+// rows rows of kinds to next: the host side of a ColumnUDO, for running
+// one outside the engine (tests, tools). Flush ships the last, partial
+// batch.
+func NewColumnOut(kinds []tuple.Type, rows int, next func(*tuple.ColumnBatch)) *ColumnOut {
+	return &ColumnOut{kinds: kinds, rows: rows, next: next, nOut: new(uint64)}
+}
+
+// Flush ships the pending partial batch, if any.
+func (o *ColumnOut) Flush() {
+	if o.cb != nil {
+		o.ship(o.cb.Len())
+	}
+}
+
+// Row reserves the next output row, stamped with event and ingest time,
+// and returns the batch holding it and the row's index. The caller
+// writes every field of that row through the batch's column slabs
+// (StrCol, IntCol, FloatCol) before calling Row again.
+func (o *ColumnOut) Row(event, ingest int64) (*tuple.ColumnBatch, int) {
+	cb := o.cb
+	if cb != nil && cb.Len() == cb.Cap() {
+		o.ship(cb.Len())
+		cb = nil
+	}
+	if cb == nil {
+		cb = tuple.GetColumnBatch(o.kinds, o.rows)
+		o.cb = cb
+	}
+	*o.nOut++
+	return cb, cb.AddRow(event, ingest)
+}
+
+// ship seals the pending batch's first n rows and runs the rest of the
+// chain on them; an empty batch goes straight back to the pool.
+func (o *ColumnOut) ship(n int) {
+	cb := o.cb
+	if cb == nil {
+		return
+	}
+	o.cb = nil
+	if n == 0 {
+		cb.Release()
+		return
+	}
+	cb.Seal(n)
+	o.next(cb)
+}
+
+// columnUDOOf reports the ColumnUDO fast path of an operator's
+// registered UDO, probing the factory's instance 0 (every instance of
+// an operator comes from the same factory).
+func columnUDOOf(op *core.Operator, udos map[string]UDOFactory) bool {
+	if op.UDO == nil {
+		return false
+	}
+	f, ok := udos[op.UDO.Name]
+	if !ok {
+		return false
+	}
+	_, ok = f(0).(ColumnUDO)
+	return ok
+}
+
+// countTumbling reports whether op is a tumbling count window, the one
+// window kind that folds straight from columns.
+func countTumbling(op *core.Operator) bool {
+	return op.Kind == core.OpAggregate && op.Agg != nil &&
+		op.Agg.Window.Policy == core.PolicyCount && op.Agg.Window.Type == core.WindowTumbling
+}
+
+// chainAcceptsColumns reports whether a chain can execute on column
+// batches: every fused operator up to the first count window (whose
+// results leave as rows) must run on columns.
+func chainAcceptsColumns(ops []*core.Operator, udos map[string]UDOFactory) bool {
 	for _, op := range ops {
 		switch op.Kind {
 		case core.OpFilter, core.OpSink:
-		case core.OpMap, core.OpFlatMap:
-			if op.UDO != nil {
+		case core.OpMap, core.OpFlatMap, core.OpUDO:
+			if op.UDO != nil && !columnUDOOf(op, udos) {
 				return false
 			}
+		case core.OpAggregate:
+			return countTumbling(op)
 		default:
 			return false
 		}
 	}
 	return true
+}
+
+// holdsWindow reports whether a chain holds window state. A
+// column-accepting chain that does emits its results as rows.
+func holdsWindow(chain []*chainedOp) bool {
+	for _, c := range chain {
+		if c.op.Kind == core.OpAggregate {
+			return true
+		}
+	}
+	return false
 }
 
 // kernelFor returns the chained filter's compiled kernel, compiling on
@@ -75,11 +200,13 @@ func (c *chainedOp) kernelFor(cb *tuple.ColumnBatch) core.Kernel {
 	return c.kern
 }
 
-// applyColumns runs the whole fused chain over one column batch. Each
-// filter shrinks the selection vector in place; counters advance by
-// live-row counts so PerOperator stats agree with the row plane.
-func (oi *opInstance) applyColumns(cb *tuple.ColumnBatch) {
-	for _, c := range oi.chain {
+// applyColumns runs the fused chain from position i over one column
+// batch. Each filter shrinks the selection vector in place; counters
+// advance by live-row counts so PerOperator stats agree with the row
+// plane.
+func (oi *opInstance) applyColumns(i int, cb *tuple.ColumnBatch) {
+	for ; i < len(oi.chain); i++ {
+		c := oi.chain[i]
 		live := uint64(cb.Live())
 		c.nIn += live
 		switch c.op.Kind {
@@ -90,8 +217,17 @@ func (oi *opInstance) applyColumns(cb *tuple.ColumnBatch) {
 		case core.OpSink:
 			oi.deliverColumns(cb)
 			return
-		default: // spec-less map/flatMap: identity pass-through
-			c.nOut += live
+		case core.OpAggregate:
+			// The count window's results go on as rows.
+			c.agg.addColumns(cb, c.emit)
+			cb.Release()
+			return
+		default:
+			if c.cout != nil {
+				oi.processColumns(c, cb)
+				return
+			}
+			c.nOut += live // spec-less map/flatMap: identity pass-through
 		}
 		if cb.Live() == 0 {
 			cb.Release()
@@ -99,6 +235,26 @@ func (oi *opInstance) applyColumns(cb *tuple.ColumnBatch) {
 		}
 	}
 	oi.emitColumns(cb)
+}
+
+// processColumns runs a ColumnUDO over one batch and ships its partial
+// output batch. Panics are isolated as safeProcess isolates them on the
+// row plane.
+func (oi *opInstance) processColumns(c *chainedOp, cb *tuple.ColumnBatch) {
+	out := c.cout
+	defer func() {
+		if r := recover(); r != nil {
+			oi.rt.recordUDOPanic(&CrashError{Op: c.op.ID, Instance: oi.idx, Cause: r})
+			if out.cb != nil {
+				// The row reserved last may be half written.
+				*out.nOut--
+				out.ship(out.cb.Len() - 1)
+			}
+		}
+		cb.Release()
+	}()
+	c.cudo.ProcessColumns(cb, out)
+	out.Flush()
 }
 
 // deliverColumns records sink metrics for every selected row. Without a
@@ -161,10 +317,12 @@ func (oi *opInstance) emitColumns(cb *tuple.ColumnBatch) {
 // the automatic fallback: every selected row is materialized and routed
 // through the per-tuple send path, which keeps partitioning decisions
 // (hash, rebalance order) bit-identical to a row-plane run. Columnar
-// targets receive whole batches for forward/rebalance and a per-row
-// hash scatter into per-target pending batches for hash partitioning
-// (HashAt matches Value.Hash bit for bit, so rows land on the same
-// instances either way).
+// targets receive whole batches for forward partitioning and for
+// rebalancing onto stateless chains; hash partitioning, and rebalancing
+// onto a chain that keeps window state, scatter row by row into
+// per-target pending batches (HashAt matches Value.Hash bit for bit,
+// and the round-robin cursor is the row plane's, so rows land on the
+// same instances either way).
 func (rt *router) sendColumns(ctx context.Context, fromIdx int, cb *tuple.ColumnBatch) bool {
 	rt.colBatches++
 	if !rt.colOK {
@@ -180,48 +338,61 @@ func (rt *router) sendColumns(ctx context.Context, fromIdx int, cb *tuple.Column
 		return true
 	}
 	n := len(rt.targets)
-	switch rt.strategy {
-	case core.PartitionForward:
+	switch {
+	case rt.strategy == core.PartitionForward:
 		return rt.shipColumns(ctx, fromIdx%n, cb)
-	case core.PartitionHash:
-		f := rt.keyField
-		if f >= cb.Width() {
-			f = 0
-		}
-		for _, i := range cb.Sel() {
-			di := int(cb.HashAt(f, int(i)) % uint64(n))
-			pb := rt.colBufs[di]
-			if pb == nil {
-				pb = tuple.GetColumnBatch(cb.Kinds(), cb.Cap())
-				rt.colBufs[di] = pb
-			}
-			rt.colPending++
-			if pb.AppendRowFrom(cb, int(i)) >= pb.Cap() {
-				if !rt.flushColTo(ctx, di) {
-					cb.Release()
-					return false
-				}
-			}
-		}
-		// Propagate the incoming stamp onto the pending scatter batches:
-		// their rows all came from batches at or below this watermark.
-		// (Batches flushed mid-loop may understamp, which is safe — the
-		// authoritative msgWatermark broadcast follows the data anyway.)
-		if w := cb.Watermark(); w != tuple.NoEventTime {
-			for di := range rt.colBufs {
-				if pb := rt.colBufs[di]; pb != nil && pb.Watermark() < w {
-					pb.SetWatermark(w)
-				}
-			}
-		}
-		cb.Release()
-		return true
-	default: // rebalance: whole batches round-robin (stateless targets
-		// only, so the coarser granularity cannot change keyed state)
+	case rt.strategy == core.PartitionHash || rt.stateful:
+		return rt.scatterColumns(ctx, cb)
+	default: // rebalance onto stateless targets: whole batches round-robin
 		di := rt.rr % n
 		rt.rr++
 		return rt.shipColumns(ctx, di, cb)
 	}
+}
+
+// scatterColumns copies each selected row into its target's pending
+// batch, shipping batches as they fill.
+func (rt *router) scatterColumns(ctx context.Context, cb *tuple.ColumnBatch) bool {
+	n := len(rt.targets)
+	hash := rt.strategy == core.PartitionHash
+	f := rt.keyField
+	if f >= cb.Width() {
+		f = 0
+	}
+	for _, i := range cb.Sel() {
+		var di int
+		if hash {
+			di = int(cb.HashAt(f, int(i)) % uint64(n))
+		} else {
+			di = rt.rr % n
+			rt.rr++
+		}
+		pb := rt.colBufs[di]
+		if pb == nil {
+			pb = tuple.GetColumnBatch(cb.Kinds(), cb.Cap())
+			rt.colBufs[di] = pb
+		}
+		rt.colPending++
+		if pb.AppendRowFrom(cb, int(i)) >= pb.Cap() {
+			if !rt.flushColTo(ctx, di) {
+				cb.Release()
+				return false
+			}
+		}
+	}
+	// Propagate the incoming stamp onto the pending scatter batches:
+	// their rows all came from batches at or below this watermark.
+	// (Batches flushed mid-loop may understamp, which is safe — the
+	// authoritative msgWatermark broadcast follows the data anyway.)
+	if w := cb.Watermark(); w != tuple.NoEventTime {
+		for di := range rt.colBufs {
+			if pb := rt.colBufs[di]; pb != nil && pb.Watermark() < w {
+				pb.SetWatermark(w)
+			}
+		}
+	}
+	cb.Release()
+	return true
 }
 
 // shipColumns seals nothing — the batch's selection already names its
@@ -276,9 +447,9 @@ func (oi *opInstance) materializeColumns(cb *tuple.ColumnBatch, side int) {
 
 // runSourceColumnar is the source loop of the columnar plane: fill a
 // pooled batch (via the generator's ColumnFiller fast path when it has
-// one, else per-row conversion), stamp it like the row source stamps
-// tuples, and emit it whole. Only used when at least one route accepts
-// columns; Columnar is already off under Throttle/Faults, so no pacing
+// one, else row by row), stamp it as the row source stamps tuples, and
+// emit it whole. Only used when at least one route accepts columns;
+// the columnar plane is already off under Throttle/Faults, so no pacing
 // or chaos checks appear here.
 func (oi *opInstance) runSourceColumnar(ctx context.Context) {
 	src := oi.head()
@@ -292,6 +463,7 @@ func (oi *opInstance) runSourceColumnar(ctx context.Context) {
 	}
 	maxEt := tuple.NoEventTime
 	var unrecorded uint64
+	pace := &fillPace{lingerNs: oi.rt.opts.BatchLinger.Nanoseconds()}
 	for {
 		select {
 		case <-ctx.Done():
@@ -299,27 +471,21 @@ func (oi *opInstance) runSourceColumnar(ctx context.Context) {
 		default:
 		}
 		cb := tuple.GetColumnBatch(kinds, rows)
-		n := 0
+		var n int
+		done := false
 		if fast {
+			// A filler writes the whole batch in one call: one clock
+			// read after it stamps every row.
 			n = filler.NextColumns(cb)
+			done = n < rows
+			cb.SealSource(n, time.Now().UnixNano(), oi.seq)
 		} else {
-			for n < rows {
-				t, ok := gen.Next()
-				if !ok {
-					break
-				}
-				cb.AppendRow(t)
-				t.Release()
-				n++
-			}
+			n, done = oi.fillColumns(gen, cb, pace, pace.target(rows, oi.rt.opts.BatchSize))
 		}
 		if n == 0 {
 			cb.Release()
 			break
 		}
-		// One wall-clock read stamps the whole batch — the columnar
-		// analogue of the row source's every-16-tuples clock amortization.
-		cb.SealSource(n, time.Now().UnixNano(), oi.seq)
 		oi.seq += uint64(n)
 		oi.chain[0].nOut += uint64(n)
 		unrecorded += uint64(n)
@@ -328,8 +494,8 @@ func (oi *opInstance) runSourceColumnar(ctx context.Context) {
 			unrecorded = 0
 		}
 		// Per-batch watermark: max event time seen minus the bounded-skew
-		// allowance. A batch is ≥ the periodic interval, so stamping every
-		// batch IS the periodic cadence on this plane. The clock advances
+		// allowance. Stamping every batch is this plane's periodic
+		// cadence. The clock advances
 		// before emit so emitColumns stamps the fresh assertion onto the
 		// batch. Column-accepting routes read that stamp in-band and need
 		// no marker; an explicit msgWatermark goes only to row-only routes,
@@ -362,8 +528,8 @@ func (oi *opInstance) runSourceColumnar(ctx context.Context) {
 				}
 			}
 		}
-		if n < rows {
-			break // generator exhausted mid-batch
+		if done {
+			break
 		}
 	}
 	if unrecorded > 0 {
@@ -372,4 +538,79 @@ func (oi *opInstance) runSourceColumnar(ctx context.Context) {
 	for _, rt := range oi.routes {
 		rt.eos(ctx)
 	}
+}
+
+// fillPace measures a row-by-row generator's own rate — rows over the
+// time spent reading them, emit and backpressure excluded — and picks
+// the source's batch size from it. A generator that cannot fill a whole
+// column batch within BatchLinger ships batches of BatchSize rows, as
+// the row plane does: such generators block inside Next (a paced
+// replay sleeps between bursts), and rows read before a block would
+// otherwise wait out the block in their batch. The first window runs
+// at BatchSize.
+type fillPace struct {
+	lingerNs  int64
+	rows, ns  int64
+	fullBatch bool
+}
+
+// target is the row count the next batch fills to.
+func (p *fillPace) target(capacity, batchSize int) int {
+	if p.fullBatch || batchSize >= capacity {
+		return capacity
+	}
+	return batchSize
+}
+
+// observe adds one batch's rows and reading time; once a window of at
+// least BatchLinger is measured, it decides the batch size.
+func (p *fillPace) observe(rows int, ns int64, capacity int) {
+	p.rows += int64(rows)
+	p.ns += ns
+	if p.ns >= p.lingerNs {
+		p.fullBatch = p.rows*p.lingerNs >= int64(capacity)*p.ns
+		p.rows, p.ns = 0, 0
+	}
+}
+
+// fillColumns reads up to want rows from a generator into cb. It stops
+// early when the generator ends (done) or once BatchLinger has passed
+// since the batch's first row, so a slow source ships partial batches
+// instead of holding rows back. Rows are stamped as they are read, with
+// one clock read per 16 rows as runSource stamps tuples, so sink
+// latency counts the time a row waits in its batch.
+func (oi *opInstance) fillColumns(gen SourceGenerator, cb *tuple.ColumnBatch, pace *fillPace, want int) (n int, done bool) {
+	ev, inge, seq := cb.EventCol(), cb.IngestCol(), cb.SeqCol()
+	var now, first int64
+	for n < want {
+		t, ok := gen.Next()
+		if !ok {
+			done = true
+			break
+		}
+		lingered := false
+		if n&15 == 0 {
+			now = time.Now().UnixNano()
+			if n == 0 {
+				first = now
+			}
+			lingered = now-first >= pace.lingerNs
+		}
+		cb.AppendRow(t)
+		t.Release()
+		if ev[n] == tuple.NoEventTime {
+			ev[n] = now
+		}
+		inge[n] = now
+		seq[n] = oi.seq + uint64(n)
+		n++
+		if lingered {
+			break
+		}
+	}
+	cb.Seal(n)
+	if n > 0 {
+		pace.observe(n, time.Now().UnixNano()-first, cb.Cap())
+	}
+	return n, done
 }

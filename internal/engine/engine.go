@@ -55,7 +55,13 @@ type Options struct {
 	UDOs map[string]UDOFactory
 	// ChannelCapacity bounds operator input channels (default 256). With
 	// batching the effective tuple buffering per channel is
-	// ChannelCapacity × BatchSize.
+	// ChannelCapacity × BatchSize. Channels that carry column batches
+	// are bounded in rows, not messages: they hold ChannelCapacity ×
+	// BatchSize / ColumnarBatch batches (at least one). That is the same
+	// number of in-flight rows only when the batches are full; partial
+	// batches (a slow source's BatchSize-row batches, a ColumnUDO's last
+	// batch per input batch, a join's out-batch shipped when idle) make
+	// it an upper bound.
 	ChannelCapacity int
 	// BatchSize is how many tuples a router accumulates per downstream
 	// target before a channel send (default 64). 1 disables batching:
@@ -75,14 +81,14 @@ type Options struct {
 	// operator runs into single instances (Flink task chaining),
 	// replacing channel hops with function calls on the fused links.
 	ChainOperators bool
-	// Columnar enables the struct-of-arrays data plane: sources fill
-	// column batches, stateless chains (filter, spec-less map/flatMap,
-	// sink) execute compiled vectorized kernels over contiguous slabs,
-	// and row-only chains (aggregates, joins, UDOs) are fed through the
-	// automatic row fallback at the routers. Sink output is bit-identical
-	// to a row-plane run. Forced off when Throttle or Faults is set —
-	// pacing and chaos injection are per-row mechanisms.
-	Columnar bool
+	// RowPlane turns the columnar data plane off: every chain runs on
+	// row tuples. The columnar plane is the default — sources fill
+	// column batches whenever a consumer accepts them, and sink output
+	// is the same multiset either way — so the row plane is the
+	// reference the equivalence suites compare against. Throttle and
+	// Faults force the row plane too: pacing and chaos injection are
+	// per-row mechanisms.
+	RowPlane bool
 	// ColumnarBatch is the column batch row capacity (default 1024).
 	ColumnarBatch int
 	// WatermarkInterval is how many tuples a source emits between
@@ -125,11 +131,11 @@ type Report struct {
 	// panicked; the engine isolates such failures per tuple.
 	UDOPanics uint64
 	Elapsed   time.Duration
-	// Columnar accounting (zero unless Options.Columnar): batches routed
-	// on the columnar plane, and the subset that fell back to per-row
+	// Columnar accounting (zero on the row plane): batches routed on the
+	// columnar plane, and the subset that fell back to per-row
 	// materialization because the receiving chain is row-only. A fallback
-	// count > 0 on a columnar run means part of the plan executed on the
-	// row plane — automatic, but visible.
+	// count > 0 means part of the plan executed on the row plane —
+	// automatic, but visible.
 	ColumnarBatches         uint64
 	ColumnarFallbackBatches uint64
 	// Fault accounting (all zero unless Options.Faults was set):
@@ -145,10 +151,13 @@ type Report struct {
 	PerOperator map[string]OperatorStats
 }
 
-// OperatorStats are one operator's aggregate counters.
+// OperatorStats are one operator's aggregate counters. InstanceIn
+// holds the tuples each parallel instance consumed, by instance index:
+// how evenly the partitioning spread the operator's input.
 type OperatorStats struct {
-	In  uint64
-	Out uint64
+	In         uint64
+	Out        uint64
+	InstanceIn []uint64
 }
 
 // Runtime is a deployed dataflow.
@@ -165,6 +174,9 @@ type Runtime struct {
 	linkFaults map[string]*linkFault
 	faultWG    sync.WaitGroup
 	report     reportState
+	// columnar is true unless RowPlane, Throttle or Faults force the row
+	// plane.
+	columnar bool
 	// needsWM is true when some operator consumes watermarks (time-policy
 	// window, session, or time-windowed join). Plans without one are
 	// arrival-driven end to end, and sources skip watermark emission: the
@@ -224,11 +236,6 @@ func New(plan *core.PQP, opts Options) (*Runtime, error) {
 	if opts.WatermarkInterval <= 0 {
 		opts.WatermarkInterval = 256
 	}
-	if opts.Throttle || len(opts.Faults) > 0 {
-		// Pacing and fault injection act per row; the columnar plane
-		// would bypass both. Automatic fallback to the row plane.
-		opts.Columnar = false
-	}
 	for _, src := range plan.Sources() {
 		if _, ok := opts.Sources[src.ID]; !ok {
 			return nil, fmt.Errorf("engine: no source generator for %q", src.ID)
@@ -249,6 +256,9 @@ func New(plan *core.PQP, opts Options) (*Runtime, error) {
 		opts:    opts,
 		insts:   make(map[string][]*opInstance),
 		needsWM: needsWatermarks(plan),
+		// Pacing and fault injection act per row; the columnar plane
+		// would bypass both.
+		columnar: !opts.RowPlane && !opts.Throttle && len(opts.Faults) == 0,
 	}
 	r.report.latencies = stats.NewSample(4096)
 	if err := r.build(); err != nil {
@@ -278,7 +288,7 @@ func (r *Runtime) build() error {
 			r.chainHead[id] = head.ID
 		}
 		insts := make([]*opInstance, head.Parallelism)
-		colOK := head.Kind != core.OpSource && chainAcceptsColumns(ops)
+		colOK := r.columnar && head.Kind != core.OpSource && chainAcceptsColumns(ops, r.opts.UDOs)
 		for i := range insts {
 			insts[i] = newOpInstance(r, ops, i)
 			insts[i].colOK = colOK
@@ -322,35 +332,104 @@ func (r *Runtime) build() error {
 			}
 		}
 	}
-	// Columnar sources and tail joins: produce column batches only when
-	// some route can consume them; otherwise the row path avoids a
-	// pointless fill-then-materialize round trip per tuple. A join
-	// qualifies only as a single-op chain (joins are always chain heads;
-	// with fused followers its output must flow through the row chain).
-	if r.opts.Columnar {
-		for id, insts := range r.insts {
-			kind := r.plan.Op(id).Kind
-			if kind != core.OpSource && kind != core.OpJoin {
-				continue
+	// Columnar sources and tail joins produce column batches only when
+	// some route leads to a chain where columns pay (see columnsPay);
+	// otherwise the row path avoids a fill-then-materialize round trip
+	// per tuple. A join qualifies only as a single-op chain (joins are
+	// always chain heads; with fused followers its output must flow
+	// through the row chain).
+	if !r.columnar {
+		return nil
+	}
+	pays := r.columnsPay(chains)
+	for id, insts := range r.insts {
+		kind := r.plan.Op(id).Kind
+		if kind != core.OpSource && kind != core.OpJoin {
+			continue
+		}
+		for _, inst := range insts {
+			if kind == core.OpJoin && len(inst.chain) != 1 {
+				break
 			}
-			for _, inst := range insts {
-				if kind == core.OpJoin && len(inst.chain) != 1 {
-					break
-				}
-				for _, rt := range inst.routes {
-					if rt.colOK {
-						if kind == core.OpSource {
-							inst.colSrc = true
-						} else {
-							inst.colJoin = true
-						}
-						break
+			for _, rt := range inst.routes {
+				if rt.colOK && pays[rt.targets[0].head().ID] {
+					if kind == core.OpSource {
+						inst.colSrc = true
+					} else {
+						inst.colJoin = true
 					}
+					break
 				}
 			}
 		}
 	}
+	r.boundColumnChannels(chains)
 	return nil
+}
+
+// columnsPay reports, per chain head, whether column batches reaching
+// the chain are consumed natively: by a sink (no boxing), a ColumnUDO
+// (no tuple per output) or a count window (folded off the slabs) in the
+// chain itself or in a column-accepting chain downstream. A stretch of
+// filters that ends in the row fallback costs a row-to-column copy at
+// its producer and a column-to-row copy at the fallback, more than its
+// kernels save, so sources and joins feeding only such stretches stay
+// on rows. Chains are visited in reverse topological order.
+func (r *Runtime) columnsPay(chains [][]string) map[string]bool {
+	pays := make(map[string]bool, len(chains))
+	for i := len(chains) - 1; i >= 0; i-- {
+		inst := r.insts[chains[i][0]][0]
+		if !inst.colOK {
+			continue
+		}
+		p := false
+		for _, c := range inst.chain {
+			// A UDO on a column-accepting chain is a ColumnUDO.
+			p = p || c.op.Kind == core.OpSink || c.op.Kind == core.OpAggregate || c.op.UDO != nil
+		}
+		for _, rt := range inst.routes {
+			p = p || (rt.colOK && pays[rt.targets[0].head().ID])
+		}
+		pays[chains[i][0]] = p
+	}
+	return pays
+}
+
+// boundColumnChannels sizes the input channel of every chain fed only
+// column batches in rows rather than messages: ChannelCapacity ×
+// BatchSize / ColumnarBatch full batches hold as many rows as the row
+// plane's ChannelCapacity batches of BatchSize tuples, and partial
+// batches hold fewer (see Options.ChannelCapacity). Chains are
+// visited in topological order, so each knows whether all of its
+// producers ship columns.
+func (r *Runtime) boundColumnChannels(chains [][]string) {
+	slots := r.opts.ChannelCapacity * r.opts.BatchSize / r.opts.ColumnarBatch
+	if slots < 1 {
+		slots = 1
+	}
+	shipsColumns := make(map[string]bool, len(chains)) // chain head → output is column batches
+	for _, chain := range chains {
+		head := chain[0]
+		inst := r.insts[head][0]
+		switch {
+		case inst.colSrc || inst.colJoin:
+			shipsColumns[head] = true
+			continue
+		case !inst.colOK:
+			continue
+		}
+		fed := true
+		for _, up := range r.plan.Upstream(head) {
+			fed = fed && shipsColumns[r.chainHead[up]]
+		}
+		if !fed {
+			continue
+		}
+		for _, oi := range r.insts[head] {
+			oi.in = make(chan message, slots)
+		}
+		shipsColumns[head] = !holdsWindow(inst.chain)
+	}
 }
 
 // Run starts every instance, drives the sources to completion (or ctx
@@ -409,6 +488,10 @@ func (r *Runtime) Run(ctx context.Context) (*Report, error) {
 				s := rep.PerOperator[c.op.ID]
 				s.In += c.nIn
 				s.Out += c.nOut
+				if s.InstanceIn == nil {
+					s.InstanceIn = make([]uint64, len(insts))
+				}
+				s.InstanceIn[inst.idx] = c.nIn
 				rep.PerOperator[c.op.ID] = s
 			}
 			for _, route := range inst.routes {

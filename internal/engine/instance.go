@@ -96,7 +96,11 @@ type router struct {
 	// pending scatter batches for hash partitioning, colPending the rows
 	// buffered across them; colBatches/colFallback count batches routed
 	// and batches that fell back to the row plane.
-	colOK       bool
+	colOK bool
+	// stateful: the target chain keeps window state, so a rebalance
+	// onto it scatters row by row, as the row plane routes, instead of
+	// shipping whole batches.
+	stateful    bool
 	colBufs     []*tuple.ColumnBatch
 	colPending  int
 	colBatches  uint64
@@ -135,6 +139,7 @@ func newRouter(down *core.Operator, targets []*opInstance, side, fromIdx, batchS
 		bufs:      make([]*[]*tuple.Tuple, len(targets)),
 		sentEOS:   make([]bool, len(targets)),
 		colOK:     len(targets) > 0 && targets[0].colOK,
+		stateful:  len(targets) > 0 && holdsWindow(targets[0].chain),
 		colBufs:   make([]*tuple.ColumnBatch, len(targets)),
 	}
 }
@@ -252,9 +257,9 @@ type opInstance struct {
 	wmIn  [2][]int64
 	curWM int64
 
-	// colOK: this chain accepts column batches (set in build; see
-	// chainAcceptsColumns). colSrc: this source instance produces them —
-	// true only when the columnar plane is on AND at least one route
+	// colOK: this chain accepts column batches (set in build when the
+	// columnar plane is on; see chainAcceptsColumns). colSrc: this
+	// source instance produces them — true only when at least one route
 	// accepts columns, so a plan of row-only consumers never pays the
 	// fill-then-materialize round trip.
 	// colJoin: this instance is a tail join emitting its matches as
@@ -345,17 +350,26 @@ func (oi *opInstance) emit(t *tuple.Tuple) {
 	}
 }
 
-// pendingOut reports how many output tuples wait in partial batches.
+// pendingOut reports how many output tuples wait in partial batches,
+// a columnar join's out-batch included.
 func (oi *opInstance) pendingOut() int {
 	n := 0
 	for _, rt := range oi.routes {
 		n += rt.pending + rt.colPending
+	}
+	if oi.colJoin {
+		if out := oi.chain[0].join.out; out != nil {
+			n += out.Len()
+		}
 	}
 	return n
 }
 
 // flushRoutes ships every partial output batch downstream.
 func (oi *opInstance) flushRoutes(ctx context.Context) bool {
+	if oi.colJoin {
+		oi.chain[0].join.flushColumns()
+	}
 	for _, rt := range oi.routes {
 		if !rt.flushAll(ctx) {
 			return false
@@ -440,7 +454,7 @@ func (oi *opInstance) run(ctx context.Context) {
 			// now (the batch is released during apply), note it after.
 			cbWM := msg.cb.Watermark()
 			if oi.colOK {
-				oi.applyColumns(msg.cb)
+				oi.applyColumns(0, msg.cb)
 			} else {
 				oi.materializeColumns(msg.cb, msg.side)
 			}

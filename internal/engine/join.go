@@ -69,7 +69,7 @@ type joiner struct {
 
 	// Exactly one emission sink is bound per run (bindEmit). The row
 	// plane sets emitPair, which materializes each match as a pooled
-	// joined tuple. The columnar plane (Options.Columnar with a
+	// joined tuple. The columnar plane (the default, with a
 	// batch-capable route) sets columnar/outCap/emitOut/nOut instead:
 	// matches append straight into out — no per-match tuple, no closure
 	// hops — and full batches ship via emitOut.

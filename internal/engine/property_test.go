@@ -36,7 +36,7 @@ func TestAggStateMatchesDirectComputation(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.NormFloat64() * 100
 			sum += vals[i]
-			st.add(vals[i], &tuple.Tuple{EventTime: int64(i)})
+			st.fold(vals[i], int64(i), 0)
 		}
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)

@@ -77,7 +77,7 @@ func (a *aggregator) addSession(t *tuple.Tuple, rt *Runtime) {
 	if merged != nil {
 		// An open session is still open precisely because it has not
 		// fired, so even an arrival older than the watermark may extend it.
-		merged.st.add(v, t)
+		merged.st.fold(v, t.EventTime, t.Ingest)
 	} else {
 		if horizon := a.fireHorizon(); horizon != tuple.NoEventTime && hi <= horizon {
 			// The session this arrival would open has already passed the
@@ -88,7 +88,7 @@ func (a *aggregator) addSession(t *tuple.Tuple, rt *Runtime) {
 			return
 		}
 		s := &session{start: lo, end: hi, st: newAggState(key, keyed)}
-		s.st.add(v, t)
+		s.st.fold(v, t.EventTime, t.Ingest)
 		i := len(kept)
 		for i > 0 && kept[i-1].start > s.start {
 			i--

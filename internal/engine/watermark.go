@@ -102,11 +102,15 @@ func (oi *opInstance) emitWatermark(wm int64) bool {
 	return oi.broadcastWatermark(wm)
 }
 
-// broadcastWatermark forwards wm on every route. Each route flushes its
-// pending batches first, so a watermark never overtakes the data it
-// covers; the send path makes watermarks monotone per channel because
-// callers only broadcast on a strict advance of curWM.
+// broadcastWatermark forwards wm on every route. A columnar join ships
+// its partial out-batch and each route flushes its pending batches
+// first, so a watermark never overtakes the data it covers; the send
+// path makes watermarks monotone per channel because callers only
+// broadcast on a strict advance of curWM.
 func (oi *opInstance) broadcastWatermark(wm int64) bool {
+	if oi.colJoin {
+		oi.chain[0].join.flushColumns()
+	}
 	for _, rt := range oi.routes {
 		if !rt.watermark(oi.ctx, wm) {
 			return false

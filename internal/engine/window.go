@@ -23,7 +23,9 @@ func newAggState(key tuple.Value, keyed bool) *aggState {
 	return &aggState{key: key, keyed: keyed, min: math.Inf(1), max: math.Inf(-1)}
 }
 
-func (a *aggState) add(v float64, t *tuple.Tuple) {
+// fold adds one value with its row's event and ingest times — the one
+// fold both planes call.
+func (a *aggState) fold(v float64, event, ingest int64) {
 	a.count++
 	a.sum += v
 	if v < a.min {
@@ -32,11 +34,11 @@ func (a *aggState) add(v float64, t *tuple.Tuple) {
 	if v > a.max {
 		a.max = v
 	}
-	if t.EventTime > a.maxEvent {
-		a.maxEvent = t.EventTime
+	if event > a.maxEvent {
+		a.maxEvent = event
 	}
-	if t.Ingest > a.maxIngest {
-		a.maxIngest = t.Ingest
+	if ingest > a.maxIngest {
+		a.maxIngest = ingest
 	}
 }
 
@@ -195,7 +197,7 @@ func (r *ring) push(v float64, t *tuple.Tuple) {
 func (r *ring) state() *aggState {
 	st := newAggState(r.key, r.keyed)
 	for i, v := range r.vals {
-		st.add(v, &tuple.Tuple{EventTime: r.events[i], Ingest: r.ingests[i]})
+		st.fold(v, r.events[i], r.ingests[i])
 	}
 	return st
 }
@@ -320,7 +322,7 @@ func (a *aggregator) addTime(t *tuple.Tuple, rt *Runtime) {
 			}
 			st = p.global
 		}
-		st.add(v, t)
+		st.fold(v, t.EventTime, t.Ingest)
 		assigned = true
 		if start < 0 {
 			break
@@ -371,17 +373,7 @@ func (a *aggregator) addCount(t *tuple.Tuple, emit func(*tuple.Tuple)) {
 	v := a.fieldValue(t)
 	h, key, keyed := a.groupOf(t)
 	if a.spec.Window.Type == core.WindowTumbling {
-		m := a.counters[h&windowShardMask]
-		st, ok := m[h]
-		if !ok {
-			st = newAggState(key, keyed)
-			m[h] = st
-		}
-		st.add(v, t)
-		if st.count >= int64(a.spec.Window.LengthTups) {
-			emit(st.result(a.spec.Fn))
-			delete(m, h)
-		}
+		a.tumbleCount(h, key, keyed, v, t.EventTime, t.Ingest, emit)
 		return
 	}
 	// Sliding count window: ring of the last LengthTups values, emitting
@@ -397,6 +389,46 @@ func (a *aggregator) addCount(t *tuple.Tuple, emit func(*tuple.Tuple)) {
 	if len(r.vals) >= r.cap && r.since >= a.slideTup {
 		emit(r.state().result(a.spec.Fn))
 		r.since = 0
+	}
+}
+
+// tumbleCount folds one row into group h's tumbling count window and
+// emits the window once it holds LengthTups rows. key is read only
+// when the row opens a new window.
+func (a *aggregator) tumbleCount(h uint64, key tuple.Value, keyed bool, v float64, event, ingest int64, emit func(*tuple.Tuple)) {
+	m := a.counters[h&windowShardMask]
+	st, ok := m[h]
+	if !ok {
+		st = newAggState(key, keyed)
+		m[h] = st
+	}
+	st.fold(v, event, ingest)
+	if st.count >= int64(a.spec.Window.LengthTups) {
+		emit(st.result(a.spec.Fn))
+		delete(m, h)
+	}
+}
+
+// addColumns folds the selected rows of a batch into a tumbling count
+// window (the only window chainAcceptsColumns admits), straight from
+// the key and value columns with the row plane's field rules; completed
+// windows emit as rows.
+func (a *aggregator) addColumns(cb *tuple.ColumnBatch, emit func(*tuple.Tuple)) {
+	f := a.spec.Field
+	if f < 0 || f >= cb.Width() {
+		f = 0
+	}
+	kf := a.spec.KeyField
+	keyed := kf >= 0 && kf < cb.Width()
+	ev, inge := cb.EventCol(), cb.IngestCol()
+	for _, r := range cb.Sel() {
+		i := int(r)
+		var h uint64
+		var key tuple.Value
+		if keyed {
+			h, key = cb.HashAt(kf, i), cb.ValueAt(kf, i)
+		}
+		a.tumbleCount(h, key, keyed, cb.FloatAt(f, i), ev[i], inge[i], emit)
 	}
 }
 

@@ -274,45 +274,9 @@ func (m *Model) Train(train, val *ml.Dataset, opts ml.TrainOptions) (*ml.TrainSt
 	rng := rand.New(rand.NewSource(opts.Seed))
 	m.init(rng)
 	ws := m.newWorkspace()
+	backprop := func(e ml.Example) { m.backprop(ws, e) }
 	predict := func(e ml.Example) float64 { return math.Exp(m.forward(ws, e.Graph)) }
-
-	best := math.Inf(1)
-	bestW := mlmath.Snapshot(nil, m.all)
-	sinceBest := 0
-	stats := &ml.TrainStats{Stopped: "max-epochs"}
-	idx := make([]int, train.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	for epoch := 1; epoch <= opts.MaxEpochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for b := 0; b < len(idx); b += opts.BatchSize {
-			end := b + opts.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
-			for _, i := range idx[b:end] {
-				m.backprop(ws, train.Examples[i])
-			}
-			for _, l := range m.all {
-				l.Step(opts.LearningRate, end-b)
-			}
-		}
-		stats.Epochs = epoch
-		loss := ml.ValLossFunc(val, predict)
-		if loss < best-1e-6 {
-			best = loss
-			bestW = mlmath.Snapshot(bestW, m.all)
-			sinceBest = 0
-		} else if sinceBest++; sinceBest >= opts.Patience {
-			stats.Stopped = "early"
-			break
-		}
-	}
-	mlmath.Restore(m.all, bestW)
-	stats.TrainTime = time.Since(start)
-	stats.FinalValLoss = best
-	return stats, nil
+	return ml.Epochs(train, val, opts, rng, m.all, backprop, predict, start), nil
 }
 
 // Predict implements ml.Model. It is safe for concurrent use: each call

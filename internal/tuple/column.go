@@ -204,6 +204,20 @@ func (b *ColumnBatch) ValueAt(f, i int) Value {
 	}
 }
 
+// FloatAt reads row i of field f as a float64 with Value.AsFloat's
+// rules: ints convert, doubles pass through, strings read as their
+// length.
+func (b *ColumnBatch) FloatAt(f, i int) float64 {
+	switch b.kinds[f] {
+	case TypeInt:
+		return float64(b.cols[f].ints[i])
+	case TypeDouble:
+		return b.cols[f].floats[i]
+	default:
+		return float64(len(b.cols[f].strs[i]))
+	}
+}
+
 // SetValueAt stores v into row i of field f, coercing by the column's
 // kind the same way cross-kind tuples coerce nowhere — the caller must
 // pass a value of the column's kind (AppendRow enforces this for whole
@@ -259,6 +273,18 @@ func (b *ColumnBatch) AppendRow(t *Tuple) {
 	b.inge[i] = t.Ingest
 	b.seq[i] = t.Seq
 	b.n = i + 1
+}
+
+// AddRow reserves the next row with the given event and ingest times
+// and sequence 0, and returns its index. The caller writes every field
+// of the row through the column slabs. It panics when full.
+func (b *ColumnBatch) AddRow(event, ingest int64) int {
+	i := b.n
+	b.event[i] = event
+	b.inge[i] = ingest
+	b.seq[i] = 0
+	b.n = i + 1
+	return i
 }
 
 // AppendJoined writes the concatenation of two tuples' values into the

@@ -20,9 +20,10 @@
 #   5. go test       — the full suite, race detector off, so the slow
 #                      shape tests still gate the merge
 #   6. fuzz smoke    — seconds per target to keep the harnesses honest
-#   7. columnar equivalence — the columnar plane re-proven bit-identical
-#                      to the row plane (engine batch tests, backend
-#                      parity off/on, kernel-vs-Eval table + fuzz smoke)
+#   7. columnar equivalence — the default columnar plane re-proven
+#                      bit-identical to the row plane (engine batch
+#                      tests, backend parity on both planes, WordCount on
+#                      both planes, kernel-vs-Eval table + fuzz smoke)
 #   8. event-time plane — watermark monotonicity and late-drop
 #                      properties, session windows, and the disorder
 #                      parity cases pinned across both backends
@@ -92,8 +93,11 @@ stage "go test ./..." go test ./...
 #      nightly run). Real exploration happens off the gate with longer
 #      -fuzztime budgets. FuzzLintLoader drives malformed source through
 #      the whole type-aware lint pipeline: it must diagnose, never panic.
+#      FuzzSplitterColumnsMatchRows holds WordCount's splitter to one
+#      output on its row and column paths.
 fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzValueHash$' -fuzztime 2s ./internal/tuple
+  go test -run '^$' -fuzz '^FuzzSplitterColumnsMatchRows$' -fuzztime 2s ./internal/apps
   go test -run '^$' -fuzz '^FuzzPlanRoundTrip$' -fuzztime 2s ./internal/core
   go test -run '^$' -fuzz '^FuzzLintLoader$' -fuzztime 2s ./internal/lint
 }
@@ -101,14 +105,16 @@ stage "fuzz smoke (2s per target)" fuzz_smoke
 
 #   7. columnar equivalence — the named suite that holds the columnar
 #      data plane to bit-identical outputs against the row plane: the
-#      engine's batch-vs-row and fallback tests, the backend parity
-#      cases run with Columnar off and on, the kernel-vs-Eval table,
-#      and a fuzz smoke over the kernel equivalence target. Runs inside
+#      engine's batch-vs-row, count-window and fallback tests, the
+#      backend parity cases run on the row plane (RowPlane) and on the
+#      default columnar plane, WordCount's per-word totals on both
+#      planes, the kernel-vs-Eval table, and a fuzz smoke over the
+#      kernel equivalence target. Runs inside
 #      `go test ./...` too; the explicit stage keeps the gate visible
 #      and fails with a focused name when the planes diverge.
 columnar_equivalence() {
-  go test -count=1 -run 'TestColumnar|TestCompileFilterMatchesEvalTable' \
-    ./internal/engine ./internal/core ./internal/backend
+  go test -count=1 -run 'TestColumnar|TestCountWindowPlanesAgree|TestCompileFilterMatchesEvalTable|TestWordCountPlanesAgree' \
+    ./internal/engine ./internal/core ./internal/backend ./internal/apps
   go test -run '^$' -fuzz '^FuzzColumnarKernelEquivalence$' -fuzztime 2s ./internal/core
 }
 stage "columnar equivalence (row vs column planes)" columnar_equivalence
