@@ -77,8 +77,8 @@ func (m *Model) init(rng *rand.Rand) {
 // vectors are Hidden-wide rows of flat slabs, and per-layer slabs follow
 // one another. The node-sized slabs only grow, so once a workspace has
 // seen the largest graph a pass allocates nothing. Train owns one
-// workspace; every Predict call makes its own, so concurrent predictions
-// share nothing mutable.
+// workspace; every Predict and PredictAll call makes its own, so
+// concurrent predictions share nothing mutable.
 type workspace struct {
 	n, hd, layers int // graph size, Hidden, Layers
 
@@ -286,6 +286,21 @@ func (m *Model) Predict(e ml.Example) float64 {
 		return 1
 	}
 	return math.Exp(m.forward(m.newWorkspace(), e.Graph))
+}
+
+// PredictAll implements ml.DatasetPredictor: one workspace of its own
+// serves the whole dataset.
+func (m *Model) PredictAll(ds *ml.Dataset, out []float64) {
+	if m.emb == nil {
+		for i := range ds.Examples {
+			out[i] = 1
+		}
+		return
+	}
+	ws := m.newWorkspace()
+	for i, e := range ds.Examples {
+		out[i] = math.Exp(m.forward(ws, e.Graph))
+	}
 }
 
 // gnnExport is the persisted form.

@@ -120,6 +120,15 @@ type Model interface {
 	Predict(e Example) float64
 }
 
+// DatasetPredictor is implemented by models that predict a whole dataset
+// in one call more cheaply than example by example, for instance in one
+// reused workspace. PredictAll writes the prediction for ds.Examples[i]
+// to out[i], bit-identical to Predict, and is as safe for concurrent use
+// as Predict.
+type DatasetPredictor interface {
+	PredictAll(ds *Dataset, out []float64)
+}
+
 // ValLoss computes mean squared error in log space over a dataset — the
 // uniform early-stopping criterion.
 func ValLoss(m Model, ds *Dataset) float64 { return ValLossFunc(ds, m.Predict) }
@@ -143,11 +152,19 @@ func ValLossFunc(ds *Dataset, predict func(Example) float64) float64 {
 }
 
 // QErrors evaluates a trained model over a dataset, returning per-example
-// q-errors q(c, c') = max(c/c', c'/c).
+// q-errors q(c, c') = max(c/c', c'/c). A DatasetPredictor predicts the
+// dataset in one call.
 func QErrors(m Model, ds *Dataset) []float64 {
 	out := make([]float64, ds.Len())
+	if dp, ok := m.(DatasetPredictor); ok {
+		dp.PredictAll(ds, out)
+	} else {
+		for i, e := range ds.Examples {
+			out[i] = m.Predict(e)
+		}
+	}
 	for i, e := range ds.Examples {
-		truth, pred := e.Latency, m.Predict(e)
+		truth, pred := e.Latency, out[i]
 		if truth < 1e-9 {
 			truth = 1e-9
 		}

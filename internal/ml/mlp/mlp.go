@@ -62,8 +62,8 @@ func (m *Model) Train(train, val *ml.Dataset, opts ml.TrainOptions) (*ml.TrainSt
 // workspace holds one pass's per-layer buffers: pre[i] is layer i's
 // output, act[i] its input (act[0] is the example's own encoding), and
 // grad[i] the gradient with respect to pre[i]. Train owns one workspace;
-// every Predict call makes its own, so concurrent predictions share
-// nothing mutable.
+// every Predict and PredictAll call makes its own, so concurrent
+// predictions share nothing mutable.
 type workspace struct {
 	pre, act, grad [][]float64
 }
@@ -114,6 +114,21 @@ func (m *Model) Predict(e ml.Example) float64 {
 		return 1
 	}
 	return math.Exp(m.forward(m.newWorkspace(), e.Flat))
+}
+
+// PredictAll implements ml.DatasetPredictor: one workspace of its own
+// serves the whole dataset.
+func (m *Model) PredictAll(ds *ml.Dataset, out []float64) {
+	if m.layers == nil {
+		for i := range ds.Examples {
+			out[i] = 1
+		}
+		return
+	}
+	ws := m.newWorkspace()
+	for i, e := range ds.Examples {
+		out[i] = math.Exp(m.forward(ws, e.Flat))
+	}
 }
 
 // mlpExport is the persisted form: layer dimensions plus the flattened

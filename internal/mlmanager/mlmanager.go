@@ -97,24 +97,24 @@ func (m *Manager) trainAndScore(f Factory, train, val, test *ml.Dataset) (*Evalu
 		TrainTime:    ts.TrainTime,
 		Epochs:       ts.Epochs,
 		Stopped:      ts.Stopped,
-		PerStructure: perStructureMedian(model, test),
+		PerStructure: perStructureMedian(qs, test),
 		TestExamples: test.Len(),
 	}
 	return ev, nil
 }
 
-// perStructureMedian groups test q-errors by query structure — the
-// x-axis of the paper's Figure 5.
-func perStructureMedian(model ml.Model, test *ml.Dataset) map[string]float64 {
+// perStructureMedian groups test q-errors, qs[i] the q-error of
+// test.Examples[i], by query structure — the x-axis of the paper's
+// Figure 5.
+func perStructureMedian(qs []float64, test *ml.Dataset) map[string]float64 {
 	byStruct := map[string]*stats.Sample{}
-	for _, e := range test.Examples {
-		q := ml.QErrors(model, &ml.Dataset{Examples: []ml.Example{e}})[0]
+	for i, e := range test.Examples {
 		s, ok := byStruct[e.Structure]
 		if !ok {
 			s = stats.NewSample(16)
 			byStruct[e.Structure] = s
 		}
-		s.Add(q)
+		s.Add(qs[i])
 	}
 	out := make(map[string]float64, len(byStruct))
 	for k, s := range byStruct {

@@ -333,16 +333,22 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, backend.Names())
 }
 
+// handleRuns copies the stored run records to the response as one JSON
+// array, without decoding them: the store checks every line it did not
+// write itself before the status is committed, so a corrupt store still
+// answers 500 naming the line.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	runs, err := storage.Load[metrics.RunRecord](s.store, "runs")
+	runs, err := storage.List[metrics.RunRecord](s.store, "runs")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if runs == nil {
-		runs = []metrics.RunRecord{}
-	}
-	writeJSON(w, http.StatusOK, runs)
+	defer runs.Close()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// The status line is already committed; a failed write means the
+	// client went away, and there is nothing useful left to do.
+	_ = runs.WriteArray(w)
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {

@@ -271,6 +271,7 @@ type edgeRoute struct {
 	from, to  *core.Operator
 	toInsts   []*instance
 	partition core.PartitionStrategy
+	side      int // join input side of the edge; 0 unless to is a join
 }
 
 type sim struct {
@@ -282,6 +283,9 @@ type sim struct {
 
 	insts  map[string][]*instance
 	routes map[string][]edgeRoute // keyed by upstream op ID
+	// zipf is set when any source draws keys from a zipf distribution;
+	// hash splits then load the hottest partition with an extra share.
+	zipf bool
 
 	latencies  *stats.Sample
 	tuplesIn   float64
@@ -372,9 +376,23 @@ func (s *sim) build() error {
 	}
 	for _, e := range s.plan.Edges {
 		from, to := s.plan.Op(e.From), s.plan.Op(e.To)
+		side := 0
+		if to.Kind == core.OpJoin {
+			// Input order defines join sides: edge index 0 is the left input.
+			for i, u := range s.plan.Upstream(to.ID) {
+				if u == from.ID {
+					side = i % 2
+				}
+			}
+		}
 		s.routes[e.From] = append(s.routes[e.From], edgeRoute{
-			from: from, to: to, toInsts: s.insts[e.To], partition: to.Partition,
+			from: from, to: to, toInsts: s.insts[e.To], partition: to.Partition, side: side,
 		})
+	}
+	for _, src := range s.plan.Sources() {
+		if src.Source.Distribution == "zipf" {
+			s.zipf = true
+		}
 	}
 	return nil
 }
@@ -773,31 +791,21 @@ func (s *sim) route(inst *instance, b batch) {
 
 // routeEdge applies the downstream operator's partition strategy.
 func (s *sim) routeEdge(inst *instance, r edgeRoute, b batch) {
-	side := 0
-	if r.to.Kind == core.OpJoin {
-		// Input order defines join sides: edge index 0 is the left input.
-		ups := s.plan.Upstream(r.to.ID)
-		for i, u := range ups {
-			if u == inst.op.ID {
-				side = i % 2
-			}
-		}
-	}
 	switch r.partition {
 	case core.PartitionForward:
 		// Co-indexed local forwarding; mismatched degrees wrap around.
 		dst := r.toInsts[inst.idx%len(r.toInsts)]
-		s.send(inst, dst, b, side)
+		s.send(inst, dst, b, r.side)
 	case core.PartitionRebalance:
 		dst := r.toInsts[inst.rrNext%len(r.toInsts)]
 		inst.rrNext++
-		s.send(inst, dst, b, side)
+		s.send(inst, dst, b, r.side)
 	case core.PartitionHash:
-		s.hashSplit(inst, r, b, side)
+		s.hashSplit(inst, r, b)
 	default:
 		dst := r.toInsts[inst.rrNext%len(r.toInsts)]
 		inst.rrNext++
-		s.send(inst, dst, b, side)
+		s.send(inst, dst, b, r.side)
 	}
 }
 
@@ -805,7 +813,7 @@ func (s *sim) routeEdge(inst *instance, r edgeRoute, b batch) {
 // When the batch has fewer tuples than there are target instances, only
 // ~count partitions actually receive data (as in a real shuffle), so the
 // split is thinned to keep event counts proportional to data volume.
-func (s *sim) hashSplit(inst *instance, r edgeRoute, b batch, side int) {
+func (s *sim) hashSplit(inst *instance, r edgeRoute, b batch) {
 	p := len(r.toInsts)
 	parts := p
 	if b.count < float64(p) {
@@ -813,7 +821,7 @@ func (s *sim) hashSplit(inst *instance, r edgeRoute, b batch, side int) {
 	}
 	per := b.count / float64(parts)
 	skewExtra := 0.0
-	if src := s.sourceDistribution(); src == "zipf" && parts > 1 {
+	if s.zipf && parts > 1 {
 		// The hottest partition absorbs an extra share of a skewed stream.
 		skewExtra = b.count * s.cfg.ZipfSkewShare
 		per = (b.count - skewExtra) / float64(parts)
@@ -826,17 +834,8 @@ func (s *sim) hashSplit(inst *instance, r edgeRoute, b batch, side int) {
 		if i == 0 {
 			part.count += skewExtra
 		}
-		s.send(inst, dst, part, side)
+		s.send(inst, dst, part, r.side)
 	}
-}
-
-func (s *sim) sourceDistribution() string {
-	for _, src := range s.plan.Sources() {
-		if src.Source.Distribution == "zipf" {
-			return "zipf"
-		}
-	}
-	return "poisson"
 }
 
 // send moves a batch across the (possibly network) link and enqueues it

@@ -94,12 +94,15 @@ stage "go test ./..." go test ./...
 #      -fuzztime budgets. FuzzLintLoader drives malformed source through
 #      the whole type-aware lint pipeline: it must diagnose, never panic.
 #      FuzzSplitterColumnsMatchRows holds WordCount's splitter to one
-#      output on its row and column paths.
+#      output on its row and column paths. FuzzRunsListingMatchesLoad
+#      holds GET /api/runs, which copies stored lines, to the bytes of
+#      re-encoding what Load decodes, or to Load's 500.
 fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzValueHash$' -fuzztime 2s ./internal/tuple
   go test -run '^$' -fuzz '^FuzzSplitterColumnsMatchRows$' -fuzztime 2s ./internal/apps
   go test -run '^$' -fuzz '^FuzzPlanRoundTrip$' -fuzztime 2s ./internal/core
   go test -run '^$' -fuzz '^FuzzLintLoader$' -fuzztime 2s ./internal/lint
+  go test -run '^$' -fuzz '^FuzzRunsListingMatchesLoad$' -fuzztime 2s ./internal/server
 }
 stage "fuzz smoke (2s per target)" fuzz_smoke
 
