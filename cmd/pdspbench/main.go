@@ -53,8 +53,6 @@ func main() {
 		err = cmdClusters()
 	case "run":
 		err = cmdRun(ctx, os.Args[2:])
-	case "exec":
-		err = cmdExec(ctx, os.Args[2:])
 	case "parity":
 		err = cmdParity(ctx, os.Args[2:])
 	case "exp1":
@@ -101,8 +99,7 @@ commands:
   list                       application suite (paper Table 2)
   params                     workload parameter domain (paper Table 3)
   clusters                   hardware catalogue (paper Table 4)
-  run      [flags]           run one workload on a backend (--backend=sim|real)
-  exec     [flags]           execute one application (--backend=real|sim)
+  run      [flags]           run one application or structure (--backend=sim|real)
   parity   [flags]           cross-backend parity harness (sim vs real)
   exp1     --set S           regenerate Figure 3 (S = synthetic | realworld)
   exp2     --set S           regenerate Figure 4 (S = synthetic | realworld)
@@ -164,35 +161,6 @@ func cmdClusters() error {
 	return nil
 }
 
-func clusterByName(c *controller.Controller, name string) (*cluster.Cluster, error) {
-	switch name {
-	case "m510", "":
-		return c.Homogeneous(), nil
-	case "c6525_25g":
-		return c.HeteroEpyc(), nil
-	case "c6320":
-		return c.HeteroHaswell(), nil
-	case "mixed":
-		return c.Mixed(), nil
-	default:
-		return nil, fmt.Errorf("unknown cluster %q (m510, c6525_25g, c6320, mixed)", name)
-	}
-}
-
-// backendByName wires the named backend into the controller; the sim
-// backend inherits the controller's fidelity and cost configuration.
-func backendByName(c *controller.Controller, name string) error {
-	if name == "" || name == "sim" {
-		return nil // controller default
-	}
-	b, err := backend.ByName(name)
-	if err != nil {
-		return err
-	}
-	c.Backend = b
-	return nil
-}
-
 // parseDisorder parses the --disorder argument "kind:maxSkewMs"
 // (e.g. "bounded:50", "zipfburst:20"); empty means in-order sources.
 func parseDisorder(arg string) (*core.DisorderSpec, error) {
@@ -216,155 +184,69 @@ func parseDisorder(arg string) (*core.DisorderSpec, error) {
 
 func cmdRun(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	app := fs.String("app", "", "application code (e.g. SG); mutually exclusive with --structure")
-	structure := fs.String("structure", "", "synthetic structure (e.g. 3-way-join)")
-	rate := fs.Float64("rate", 500_000, "source event rate (events/s)")
-	par := fs.Int("parallelism", 8, "uniform parallelism degree")
-	clusterName := fs.String("cluster", "m510", "cluster: m510, c6525_25g, c6320, mixed")
-	backendName := fs.String("backend", "sim", "execution backend: sim | real")
+	var req controller.Request
+	fs.StringVar(&req.App, "app", "", "application code (e.g. SG); mutually exclusive with --structure")
+	fs.StringVar(&req.Structure, "structure", "", "synthetic structure (e.g. 3-way-join)")
+	fs.Float64Var(&req.EventRate, "rate", 500_000, "source event rate (events/s)")
+	fs.IntVar(&req.Parallelism, "parallelism", 8, "uniform parallelism degree")
+	fs.StringVar(&req.Cluster, "cluster", "m510", "cluster: m510, c6525_25g, c6320, mixed")
+	fs.StringVar(&req.Backend, "backend", "sim", "execution backend: sim | real")
+	fs.Int64Var(&req.AllowedLatenessMs, "lateness", 0, "allowed lateness in ms: windows delay firing by this much watermark progress and drop (and count) tuples later still")
 	tuples := fs.Int("tuples", backend.DefaultTuplesPerSource, "tuples per source instance (real backend)")
+	seed := fs.Int64("seed", 0, "generator seed (0 = the backend's default)")
+	runs := fs.Int("runs", 0, "repetitions, averaged into one record (0 = 3, or 1 with --fast)")
+	out := fs.String("out", "", "optional store directory for the run record")
 	fast := fs.Bool("fast", false, "reduced simulation fidelity")
 	faults := fs.String("faults", "", "fault plan: 'kind:key=val,...;...' spec or @file.json (see internal/chaos)")
 	disorder := fs.String("disorder", "", "event-time disorder on every source: kind:maxSkewMs (bounded:50 shuffles within the skew, zipfburst:50 adds a heavy Zipf delay tail)")
-	lateness := fs.Int64("lateness", 0, "allowed lateness in ms: windows delay firing by this much watermark progress and drop (and count) tuples later still")
 	fs.Parse(args)
 
 	c := controller.New()
 	if *fast {
 		c = controller.Fast()
 	}
-	c.EventRate = *rate
-	if err := backendByName(c, *backendName); err != nil {
-		return err
-	}
-	cl, err := clusterByName(c, *clusterName)
-	if err != nil {
-		return err
-	}
-	var plan *core.PQP
-	spec := backend.RunSpec{TuplesPerSource: *tuples, AllowedLatenessMs: *lateness}
+	var err error
 	if *faults != "" {
-		fp, err := chaos.FromArg(*faults)
-		if err != nil {
+		if req.Faults, err = chaos.FromArg(*faults); err != nil {
 			return err
 		}
-		spec.Faults = fp
 	}
-	dspec, err := parseDisorder(*disorder)
+	if req.Disorder, err = parseDisorder(*disorder); err != nil {
+		return err
+	}
+	r, err := c.Resolve(req)
 	if err != nil {
 		return err
 	}
-	switch {
-	case *app != "":
-		a, err := apps.ByCode(*app)
-		if err != nil {
+	if *out != "" {
+		if r.Ctrl.Store, err = storage.Open(*out); err != nil {
 			return err
-		}
-		plan = a.Build(*rate)
-		plan.SetUniformParallelism(*par)
-		spec.App = a
-	case *structure != "":
-		s, err := workload.ParseStructure(*structure)
-		if err != nil {
-			return err
-		}
-		plan, err = c.SyntheticPlan(s, *par)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("one of --app or --structure is required")
-	}
-	if dspec != nil {
-		for _, src := range plan.Sources() {
-			d := *dspec
-			src.Source.Disorder = &d
 		}
 	}
-	fmt.Println(plan)
-	rec, err := c.MeasureSpec(ctx, plan, cl, spec)
+	r.Spec.TuplesPerSource = *tuples
+	r.Spec.Seed = *seed
+	r.Spec.Runs = *runs
+	fmt.Println(r.Plan)
+	rec, err := r.Ctrl.MeasureSpec(ctx, r.Plan, r.Cluster, r.Spec)
 	if err != nil {
 		return err
 	}
 	fmt.Print(metrics.Table([]metrics.RunRecord{*rec}))
-	if dspec != nil || spec.AllowedLatenessMs > 0 {
-		fmt.Printf("event time: late drops=%d (lateness=%dms)\n", rec.LateDrops, spec.AllowedLatenessMs)
+	if req.Disorder != nil || req.AllowedLatenessMs > 0 {
+		fmt.Printf("event time: late drops=%d (lateness=%dms)\n", rec.LateDrops, req.AllowedLatenessMs)
 	}
-	if c.BackendName() == "sim" {
+	if r.Ctrl.BackendName() == "sim" {
 		// Decompose the mean latency so the user sees where time is spent
 		// (attribution only the simulator can make).
-		b, err := c.ExplainSim(ctx, plan, cl)
+		b, err := r.Ctrl.ExplainSim(ctx, r.Plan, r.Cluster, *seed)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("mean latency breakdown: queue=%.1fms service=%.1fms network=%.1fms window=%.1fms other=%.1fms\n",
 			b.QueueWait*1000, b.Service*1000, b.Network*1000, b.Window*1000, b.Other*1000)
 	}
-	return nil
-}
-
-func cmdExec(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("exec", flag.ExitOnError)
-	app := fs.String("app", "WC", "application code")
-	tuples := fs.Int("tuples", backend.DefaultTuplesPerSource, "tuples per source instance")
-	par := fs.Int("parallelism", 2, "uniform parallelism degree")
-	seed := fs.Int64("seed", 42, "generator seed")
-	rate := fs.Float64("rate", backend.DefaultEventRate, "source event rate the plan is built at (events/s)")
-	runs := fs.Int("runs", 1, "repetitions (reported record averages over them)")
-	backendName := fs.String("backend", "real", "execution backend: real | sim")
-	out := fs.String("out", "pdspbench-data", "store directory for the run record (empty to skip)")
-	faults := fs.String("faults", "", "fault plan: 'kind:key=val,...;...' spec or @file.json (see internal/chaos)")
-	disorder := fs.String("disorder", "", "event-time disorder on every source: kind:maxSkewMs (bounded:50 shuffles within the skew, zipfburst:50 adds a heavy Zipf delay tail)")
-	lateness := fs.Int64("lateness", 0, "allowed lateness in ms: windows delay firing by this much watermark progress and drop (and count) tuples later still")
-	fs.Parse(args)
-
-	a, err := apps.ByCode(*app)
-	if err != nil {
-		return err
-	}
-	dspec, err := parseDisorder(*disorder)
-	if err != nil {
-		return err
-	}
-	var faultPlan *chaos.Plan
-	if *faults != "" {
-		if faultPlan, err = chaos.FromArg(*faults); err != nil {
-			return err
-		}
-	}
-	b, err := backend.ByName(*backendName)
-	if err != nil {
-		return err
-	}
-	c := controller.Fast()
 	if *out != "" {
-		st, err := storage.Open(*out)
-		if err != nil {
-			return err
-		}
-		c.Store = st
-	}
-	rec, err := c.Execute(ctx, b, a, *par, backend.RunSpec{
-		Runs:              *runs,
-		Seed:              *seed,
-		EventRate:         *rate,
-		TuplesPerSource:   *tuples,
-		Faults:            faultPlan,
-		Disorder:          dspec,
-		AllowedLatenessMs: *lateness,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s on the %s backend: in=%d out=%d elapsed=%.3fs\n",
-		a.Code, rec.Backend, rec.TuplesIn, rec.TuplesOut, rec.ElapsedSec)
-	fmt.Printf("  latency p50=%.3fms p95=%.3fms p99=%.3fms  throughput=%.0f tuples/s\n",
-		rec.LatencyP50*1000, rec.LatencyP95*1000, rec.LatencyP99*1000, rec.Throughput)
-	if dspec != nil || *lateness > 0 || rec.LateDrops > 0 {
-		fmt.Printf("  event time: late drops=%d (lateness=%dms)\n", rec.LateDrops, *lateness)
-	}
-	if *out != "" {
-		fmt.Printf("  record %s stored in %s\n", rec.ID, *out)
+		fmt.Printf("record %s stored in %s\n", rec.ID, *out)
 	}
 	return nil
 }
@@ -579,34 +461,17 @@ func cmdSUT(ctx context.Context, args []string) error {
 
 func cmdDot(args []string) error {
 	fs := flag.NewFlagSet("dot", flag.ExitOnError)
-	app := fs.String("app", "", "application code")
-	structure := fs.String("structure", "", "synthetic structure")
-	par := fs.Int("parallelism", 4, "uniform parallelism degree")
+	var req controller.Request
+	fs.StringVar(&req.App, "app", "", "application code")
+	fs.StringVar(&req.Structure, "structure", "", "synthetic structure")
+	fs.IntVar(&req.Parallelism, "parallelism", 4, "uniform parallelism degree")
 	fs.Parse(args)
 
-	c := controller.Fast()
-	switch {
-	case *app != "":
-		a, err := apps.ByCode(*app)
-		if err != nil {
-			return err
-		}
-		plan := a.Build(c.EventRate)
-		plan.SetUniformParallelism(*par)
-		fmt.Print(plan.DOT())
-	case *structure != "":
-		s, err := workload.ParseStructure(*structure)
-		if err != nil {
-			return err
-		}
-		plan, err := c.SyntheticPlan(s, *par)
-		if err != nil {
-			return err
-		}
-		fmt.Print(plan.DOT())
-	default:
-		return fmt.Errorf("one of --app or --structure is required")
+	r, err := controller.Fast().Resolve(req)
+	if err != nil {
+		return err
 	}
+	fmt.Print(r.Plan.DOT())
 	return nil
 }
 

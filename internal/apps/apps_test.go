@@ -142,6 +142,20 @@ func TestWordCountCountsWords(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnregisteredMapUDO checks that the engine refuses a
+// plan whose flat-map names a UDO it was given no factory for, instead
+// of starting instances that would call a nil factory.
+func TestNewRejectsUnregisteredMapUDO(t *testing.T) {
+	plan := WordCount.Build(1000)
+	_, err := engine.New(plan, engine.Options{Sources: WordCount.Sources(1, 10)})
+	if err == nil {
+		t.Fatal("engine.New accepted WordCount without its UDOs")
+	}
+	if !strings.Contains(err.Error(), "wc/splitter") {
+		t.Errorf("error %q does not name wc/splitter", err)
+	}
+}
+
 func TestSentimentScoresAreBounded(t *testing.T) {
 	out := runApp(t, SentimentAnalysis, 2000, 1)
 	for _, o := range out {

@@ -142,9 +142,10 @@ func (c *Controller) MeasureSpec(ctx context.Context, plan *core.PQP, cl *cluste
 // ExplainSim runs one simulation and returns the simulator's
 // mean-latency breakdown (queue wait, service, network, window
 // residence) — diagnostic attribution only the sim backend can supply.
-func (c *Controller) ExplainSim(ctx context.Context, plan *core.PQP, cl *cluster.Cluster) (backend.Breakdown, error) {
+// A nonzero seed replaces Cfg.Seed, as it does in a RunSpec.
+func (c *Controller) ExplainSim(ctx context.Context, plan *core.PQP, cl *cluster.Cluster, seed int64) (backend.Breakdown, error) {
 	sim := &backend.Sim{Cfg: c.Cfg}
-	return sim.Explain(ctx, plan, cl, backend.RunSpec{Placement: c.Placement})
+	return sim.Explain(ctx, plan, cl, backend.RunSpec{Placement: c.Placement, Seed: seed})
 }
 
 // baseParams is the fixed synthetic-query configuration used by the

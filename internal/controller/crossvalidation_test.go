@@ -22,14 +22,13 @@ import (
 // CPU work.
 func perTupleCost(t *testing.T, c *Controller, code string, tuples int) float64 {
 	t.Helper()
-	app, err := apps.ByCode(code)
+	r, err := c.Resolve(Request{App: code, Parallelism: 1, Backend: "real", EventRate: backend.DefaultEventRate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := c.ExecuteReal(context.Background(), app, 1, backend.RunSpec{
-		Seed:            3,
-		TuplesPerSource: tuples,
-	})
+	r.Spec.Seed = 3
+	r.Spec.TuplesPerSource = tuples
+	rec, err := r.Ctrl.MeasureSpec(context.Background(), r.Plan, r.Cluster, r.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"pdspbench/internal/apps"
 	"pdspbench/internal/backend"
 	"pdspbench/internal/chaos"
 	"pdspbench/internal/cluster"
 	"pdspbench/internal/core"
 	"pdspbench/internal/metrics"
-	"pdspbench/internal/tuple"
 	"pdspbench/internal/workload"
 )
 
@@ -77,31 +75,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("controller: spec %q: unknown SUT %q", s.Name, s.SUT)
 		}
 	}
-	if s.Backend != "" {
-		if _, err := backend.ByName(s.Backend); err != nil {
-			return fmt.Errorf("controller: spec %q: %w", s.Name, err)
-		}
-	}
-	switch s.Cluster {
-	case "", "m510", "c6525_25g", "c6320", "mixed":
-	default:
-		return fmt.Errorf("controller: spec %q: unknown cluster %q", s.Name, s.Cluster)
-	}
 	for i, w := range s.Workloads {
-		if (w.App == "") == (w.Structure == "") {
-			return fmt.Errorf("controller: workload %d: exactly one of app or structure required", i)
-		}
-		if w.App != "" {
-			if _, err := apps.ByCode(w.App); err != nil {
-				if _, ok := apps.ExtensionByCode(w.App); !ok {
-					return fmt.Errorf("controller: workload %d: %w", i, err)
-				}
-			}
-		}
-		if w.Structure != "" {
-			if _, err := workload.ParseStructure(w.Structure); err != nil {
-				return fmt.Errorf("controller: workload %d: %w", i, err)
-			}
+		if _, err := New().Resolve(s.request(w)); err != nil {
+			return fmt.Errorf("controller: workload %d: %w", i, err)
 		}
 		sweeps := 0
 		if len(w.Degrees) > 0 {
@@ -185,30 +161,17 @@ func (s *Spec) shard(name string, w WorkloadSpec) Spec {
 	return sub
 }
 
-// buildBase constructs the workload's plan at the campaign's event rate.
-func (s *Spec) buildBase(w WorkloadSpec, rate float64) (*core.PQP, error) {
-	if w.App != "" {
-		if a, err := apps.ByCode(w.App); err == nil {
-			return a.Build(rate), nil
-		}
-		if a, ok := apps.ExtensionByCode(w.App); ok {
-			return a.Build(rate), nil
-		}
-		return nil, fmt.Errorf("controller: unknown app %q", w.App)
+// request names one workload of the campaign as a single run; its
+// plan is the base the workload's sweep varies.
+func (s *Spec) request(w WorkloadSpec) Request {
+	return Request{
+		App:       w.App,
+		Structure: w.Structure,
+		Cluster:   s.Cluster,
+		Backend:   s.Backend,
+		EventRate: s.EventRate,
+		Faults:    s.Faults,
 	}
-	st, err := workload.ParseStructure(w.Structure)
-	if err != nil {
-		return nil, err
-	}
-	p := workload.Params{
-		EventRate:  rate,
-		TupleWidth: 5,
-		FieldTypes: []tuple.Type{tuple.TypeInt, tuple.TypeInt, tuple.TypeDouble, tuple.TypeDouble, tuple.TypeString},
-		Window:     core.WindowSpec{Type: core.WindowSliding, Policy: core.PolicyTime, LengthMs: 1000, SlideRatio: 0.5},
-		AggFn:      core.AggSum, FilterFn: core.FilterLess, Selectivity: 0.5,
-		Partition: core.PartitionRebalance, Distribution: "poisson",
-	}
-	return workload.Build(st, p)
 }
 
 // RunSpec executes the campaign and returns one record per measurement.
@@ -226,38 +189,25 @@ func (c *Controller) RunSpec(ctx context.Context, spec *Spec) ([]metrics.RunReco
 		cfg.Seed = c.Cfg.Seed
 		run.Cfg = cfg
 	}
-	if spec.Backend != "" {
-		b, err := backend.ByName(spec.Backend)
-		if err != nil {
-			return nil, err
-		}
-		if sim, ok := b.(*backend.Sim); ok {
-			sim.Cfg = run.Cfg // keep the campaign's SUT profile and fidelity
-		}
-		run.Backend = b
-	}
 	if spec.Nodes > 0 {
 		run.Nodes = spec.Nodes
-	}
-	if spec.EventRate > 0 {
-		run.EventRate = spec.EventRate
 	}
 	if spec.Runs > 0 {
 		run.Runs = spec.Runs
 	}
-	cl, err := clusterForSpec(&run, spec.Cluster)
-	if err != nil {
-		return nil, err
-	}
 
 	var records []metrics.RunRecord
 	for _, w := range spec.Workloads {
-		variants, err := run.expandWorkload(w, cl)
+		r, err := run.Resolve(spec.request(w))
+		if err != nil {
+			return nil, err
+		}
+		variants, err := r.Ctrl.expandWorkload(w, r.Plan, r.Cluster)
 		if err != nil {
 			return nil, err
 		}
 		for _, plan := range variants {
-			rec, err := run.MeasureSpec(ctx, plan, cl, backend.RunSpec{Faults: spec.Faults})
+			rec, err := r.Ctrl.MeasureSpec(ctx, plan, r.Cluster, r.Spec)
 			if err != nil {
 				return nil, err
 			}
@@ -267,12 +217,9 @@ func (c *Controller) RunSpec(ctx context.Context, spec *Spec) ([]metrics.RunReco
 	return records, nil
 }
 
-// expandWorkload materializes one workload entry's sweep into plans.
-func (c *Controller) expandWorkload(w WorkloadSpec, cl *cluster.Cluster) ([]*core.PQP, error) {
-	base, err := (&Spec{}).buildBase(w, c.EventRate)
-	if err != nil {
-		return nil, err
-	}
+// expandWorkload materializes one workload entry's sweep of the base
+// plan into plans.
+func (c *Controller) expandWorkload(w WorkloadSpec, base *core.PQP, cl *cluster.Cluster) ([]*core.PQP, error) {
 	var out []*core.PQP
 	switch {
 	case len(w.Degrees) > 0:
@@ -300,19 +247,4 @@ func (c *Controller) expandWorkload(w WorkloadSpec, cl *cluster.Cluster) ([]*cor
 		out = strat.Enumerate(base, cl, w.Variants)
 	}
 	return out, nil
-}
-
-func clusterForSpec(c *Controller, name string) (*cluster.Cluster, error) {
-	switch name {
-	case "", "m510":
-		return c.Homogeneous(), nil
-	case "c6525_25g":
-		return c.HeteroEpyc(), nil
-	case "c6320":
-		return c.HeteroHaswell(), nil
-	case "mixed":
-		return c.Mixed(), nil
-	default:
-		return nil, fmt.Errorf("controller: unknown cluster %q", name)
-	}
 }

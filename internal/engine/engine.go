@@ -242,10 +242,13 @@ func New(plan *core.PQP, opts Options) (*Runtime, error) {
 		}
 	}
 	for _, op := range plan.Operators {
-		if op.Kind == core.OpUDO {
-			if op.UDO == nil {
-				return nil, fmt.Errorf("engine: UDO operator %q has no spec", op.ID)
-			}
+		if op.Kind == core.OpUDO && op.UDO == nil {
+			return nil, fmt.Errorf("engine: UDO operator %q has no spec", op.ID)
+		}
+		// Map, flat-map and UDO operators run the UDO their spec names;
+		// instances build it from its factory when they start.
+		hostsUDO := op.Kind == core.OpUDO || op.Kind == core.OpMap || op.Kind == core.OpFlatMap
+		if hostsUDO && op.UDO != nil {
 			if _, ok := opts.UDOs[op.UDO.Name]; !ok {
 				return nil, fmt.Errorf("engine: no UDO implementation registered for %q", op.UDO.Name)
 			}

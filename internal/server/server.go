@@ -351,42 +351,21 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	_ = runs.WriteArray(w)
 }
 
+// handlePlan renders the plan a run request with the same app or
+// structure and parallelism would execute.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	par := 4
 	if n, err := strconv.Atoi(q.Get("parallelism")); err == nil {
 		par = n
 	}
-	if par < 1 {
-		par = 1
+	run, err := s.ctrl.Resolve(controller.Request{App: q.Get("app"), Structure: q.Get("structure"), Parallelism: par})
+	if err != nil {
+		writeError(w, resolveStatus(err), err)
+		return
 	}
-	switch {
-	case q.Get("app") != "":
-		a, err := apps.ByCode(q.Get("app"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		plan := a.Build(s.ctrl.EventRate)
-		plan.SetUniformParallelism(par)
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		fmt.Fprint(w, plan.DOT())
-	case q.Get("structure") != "":
-		st, err := workload.ParseStructure(q.Get("structure"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		plan, err := s.ctrl.SyntheticPlan(st, par)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		fmt.Fprint(w, plan.DOT())
-	default:
-		writeError(w, http.StatusBadRequest, errors.New("app or structure query parameter required"))
-	}
+	w.Header().Set("Content-Type", "text/vnd.graphviz")
+	fmt.Fprint(w, run.Plan.DOT())
 }
 
 // RunRequest is the POST /api/run body.
@@ -425,89 +404,39 @@ type AsyncRunResponse struct {
 
 // preparedRun is a validated RunRequest resolved to executable parts.
 type preparedRun struct {
-	ctrl *controller.Controller
-	plan *core.PQP
-	cl   *cluster.Cluster
-	spec backend.RunSpec
+	*controller.Run
 	cost int // DRR cost: requested parallelism
 }
 
-// prepareRun validates and resolves a RunRequest; on error the returned
-// status is the HTTP code to write. Validation runs before admission so
-// malformed requests do not burn quota.
-func (s *Server) prepareRun(req *RunRequest) (*preparedRun, int, error) {
-	if req.Parallelism < 1 {
-		req.Parallelism = 1
-	}
-	rate := req.EventRate
-	if rate <= 0 {
-		rate = s.ctrl.EventRate
-	}
-	var cl = s.ctrl.Homogeneous()
-	switch req.Cluster {
-	case "", "m510":
-	case "c6525_25g":
-		cl = s.ctrl.HeteroEpyc()
-	case "c6320":
-		cl = s.ctrl.HeteroHaswell()
-	case "mixed":
-		cl = s.ctrl.Mixed()
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown cluster %q", req.Cluster)
-	}
-	if req.Disorder != nil {
-		if err := req.Disorder.Validate(); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	}
-	ctrl := *s.ctrl
-	ctrl.EventRate = rate
-	if req.Backend != "" {
-		b, err := backend.ByName(req.Backend)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		if sim, ok := b.(*backend.Sim); ok {
-			sim.Cfg = ctrl.Cfg // keep the server's fidelity settings
-		}
-		ctrl.Backend = b
-	}
-	spec := backend.RunSpec{
+// prepareRun validates and resolves a RunRequest. Validation runs
+// before admission so malformed requests do not burn quota.
+func (s *Server) prepareRun(req *RunRequest) (*preparedRun, error) {
+	run, err := s.ctrl.Resolve(controller.Request{
+		App:               req.App,
+		Structure:         req.Structure,
+		Parallelism:       req.Parallelism,
+		Cluster:           req.Cluster,
+		EventRate:         req.EventRate,
+		Backend:           req.Backend,
 		Faults:            req.Faults,
 		Disorder:          req.Disorder,
 		AllowedLatenessMs: req.AllowedLatenessMs,
+	})
+	if err != nil {
+		return nil, err
 	}
-	var plan *core.PQP
+	return &preparedRun{Run: run, cost: max(req.Parallelism, 1)}, nil
+}
+
+// resolveStatus maps a controller.Resolve error to its HTTP status.
+func resolveStatus(err error) int {
 	switch {
-	case req.App != "":
-		a, err := apps.ByCode(req.App)
-		if err != nil {
-			return nil, http.StatusNotFound, err
-		}
-		plan = a.Build(rate)
-		plan.SetUniformParallelism(req.Parallelism)
-		spec.App = a
-	case req.Structure != "":
-		st, err := workload.ParseStructure(req.Structure)
-		if err != nil {
-			return nil, http.StatusNotFound, err
-		}
-		plan, err = ctrl.SyntheticPlan(st, req.Parallelism)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-	default:
-		return nil, http.StatusBadRequest, errors.New("app or structure required")
+	case errors.Is(err, controller.ErrUnknownName):
+		return http.StatusNotFound
+	case errors.Is(err, controller.ErrBadRequest):
+		return http.StatusBadRequest
 	}
-	if req.Disorder != nil {
-		// Stamp every source, the same way controller.Execute applies a
-		// spec-level disorder override.
-		for _, src := range plan.Sources() {
-			d := *req.Disorder
-			src.Source.Disorder = &d
-		}
-	}
-	return &preparedRun{ctrl: &ctrl, plan: plan, cl: cl, spec: spec, cost: req.Parallelism}, 0, nil
+	return http.StatusInternalServerError
 }
 
 // handleRun implements POST /api/run: validate → admit (429 when a
@@ -521,9 +450,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	prep, status, err := s.prepareRun(&req)
+	prep, err := s.prepareRun(&req)
 	if err != nil {
-		writeError(w, status, err)
+		writeError(w, resolveStatus(err), err)
 		return
 	}
 	if ok, retryMS := s.admit.admit(tenant); !ok {
@@ -555,7 +484,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.serving.admitted(tenant, float64(s.nowMS()-start))
-	rec, err := s.execute(r.Context(), prep.ctrl, prep.plan, prep.cl, prep.spec)
+	rec, err := s.execute(r.Context(), prep.Ctrl, prep.Plan, prep.Cluster, prep.Spec)
 	if err != nil {
 		s.serving.finished(tenant, true)
 		writeError(w, http.StatusInternalServerError, err)
@@ -595,7 +524,7 @@ func (s *Server) startAsync(r *http.Request, tenant string, prep *preparedRun, w
 		defer release()
 		s.serving.admitted(tenant, float64(s.nowMS()-start))
 		rl.append("admitted", s.nowMS(), "", nil)
-		rec, err := s.execute(runCtx, prep.ctrl, prep.plan, prep.cl, prep.spec)
+		rec, err := s.execute(runCtx, prep.Ctrl, prep.Plan, prep.Cluster, prep.Spec)
 		if err != nil {
 			s.serving.finished(tenant, true)
 			rl.append("failed", s.nowMS(), err.Error(), nil)

@@ -147,6 +147,9 @@ func TestRunEndpointErrors(t *testing.T) {
 		{`{"app":"NOPE","parallelism":2}`, http.StatusNotFound},             // unknown app
 		{`{"structure":"8-way-join","parallelism":2}`, http.StatusNotFound}, // unknown structure
 		{`{"app":"WC","cluster":"moon"}`, http.StatusBadRequest},            // unknown cluster
+		{`{"app":"WC","structure":"linear"}`, http.StatusBadRequest},        // both app and structure
+		{`{"app":"WC","backend":"flink"}`, http.StatusBadRequest},           // unknown backend
+		{`{"app":"WC","disorder":{"kind":"chaotic","max_skew_ms":5}}`, http.StatusBadRequest},
 		{`{not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -177,5 +180,11 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 	if w := get(t, s, "/api/plan?app=NOPE"); w.Code != http.StatusNotFound {
 		t.Errorf("unknown app: status %d", w.Code)
+	}
+	if w := get(t, s, "/api/plan?structure=9-way-join"); w.Code != http.StatusNotFound {
+		t.Errorf("unknown structure: status %d", w.Code)
+	}
+	if w := get(t, s, "/api/plan?app=AD&structure=linear"); w.Code != http.StatusBadRequest {
+		t.Errorf("both app and structure: status %d", w.Code)
 	}
 }

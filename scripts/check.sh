@@ -20,18 +20,11 @@
 #   5. go test       — the full suite, race detector off, so the slow
 #                      shape tests still gate the merge
 #   6. fuzz smoke    — seconds per target to keep the harnesses honest
-#   7. columnar equivalence — the default columnar plane re-proven
-#                      bit-identical to the row plane (engine batch
-#                      tests, backend parity on both planes, WordCount on
-#                      both planes, kernel-vs-Eval table + fuzz smoke)
-#   8. event-time plane — watermark monotonicity and late-drop
-#                      properties, session windows, and the disorder
-#                      parity cases pinned across both backends
-#   9. bench compare — scripts/bench.sh --compare gates >10% throughput
+#   7. bench compare — scripts/bench.sh --compare gates >10% throughput
 #                      regressions between the two newest same-machine
 #                      BENCH_*.json recordings
-#  10. fabric smoke  — the distributed fabric through the built binary
-#  11. storm smoke   — a short seeded storm against a self-hosted
+#   8. fabric smoke  — the distributed fabric through the built binary
+#   9. storm smoke   — a short seeded storm against a self-hosted
 #                      dispatcher: zero unexplained 5xx, per-tenant
 #                      fairness within tolerance
 #
@@ -97,58 +90,30 @@ stage "go test ./..." go test ./...
 #      output on its row and column paths. FuzzRunsListingMatchesLoad
 #      holds GET /api/runs, which copies stored lines, to the bytes of
 #      re-encoding what Load decodes, or to Load's 500.
+#      FuzzColumnarKernelEquivalence holds the columnar filter kernels to
+#      the row plane's Eval.
 fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzValueHash$' -fuzztime 2s ./internal/tuple
   go test -run '^$' -fuzz '^FuzzSplitterColumnsMatchRows$' -fuzztime 2s ./internal/apps
   go test -run '^$' -fuzz '^FuzzPlanRoundTrip$' -fuzztime 2s ./internal/core
   go test -run '^$' -fuzz '^FuzzLintLoader$' -fuzztime 2s ./internal/lint
   go test -run '^$' -fuzz '^FuzzRunsListingMatchesLoad$' -fuzztime 2s ./internal/server
+  go test -run '^$' -fuzz '^FuzzColumnarKernelEquivalence$' -fuzztime 2s ./internal/core
 }
 stage "fuzz smoke (2s per target)" fuzz_smoke
 
-#   7. columnar equivalence — the named suite that holds the columnar
-#      data plane to bit-identical outputs against the row plane: the
-#      engine's batch-vs-row, count-window and fallback tests, the
-#      backend parity cases run on the row plane (RowPlane) and on the
-#      default columnar plane, WordCount's per-word totals on both
-#      planes, the kernel-vs-Eval table, and a fuzz smoke over the
-#      kernel equivalence target. Runs inside
-#      `go test ./...` too; the explicit stage keeps the gate visible
-#      and fails with a focused name when the planes diverge.
-columnar_equivalence() {
-  go test -count=1 -run 'TestColumnar|TestCountWindowPlanesAgree|TestCompileFilterMatchesEvalTable|TestWordCountPlanesAgree' \
-    ./internal/engine ./internal/core ./internal/backend ./internal/apps
-  go test -run '^$' -fuzz '^FuzzColumnarKernelEquivalence$' -fuzztime 2s ./internal/core
-}
-stage "columnar equivalence (row vs column planes)" columnar_equivalence
-
-#   8. event-time plane — the watermark semantics held to their written
-#      properties: per-channel monotonicity, late tuples dropped and
-#      counted (never reordered), in-order input reproducing the
-#      arrival-driven pane emissions bit for bit, session-window gap
-#      merging, and the disorder parity cases pinned across the sim and
-#      real backends. Runs inside `go test ./...` too; the explicit
-#      stage fails with a focused name when event time regresses.
-event_time_plane() {
-  go test -count=1 \
-    -run 'TestNoteWatermark|TestEmitWatermark|TestLateDrops|TestBoundedDisorder|TestInOrderZeroLateness|TestSession|TestOpenSession' \
-    ./internal/engine
-  go test -count=1 -run 'TestBackendParity|TestColumnarBackendParity|TestFaultParity' ./internal/backend
-}
-stage "event-time plane (watermarks, lateness, disorder parity)" event_time_plane
-
-#   9. bench compare — throughput regression smoke over the recorded
+#   7. bench compare — throughput regression smoke over the recorded
 #      trajectory. Needs two BENCH_*.json files from the same machine to
 #      mean anything; with fewer than two it reports and passes.
 stage "bench.sh --compare" scripts/bench.sh --compare
 
-#  10. fabric smoke — the distributed campaign fabric exercised through
+#   8. fabric smoke — the distributed campaign fabric exercised through
 #      the built binary: a dispatcher process, an HTTP-enqueued sharded
 #      campaign, two worker daemons draining it. Catches CLI wiring and
 #      flag regressions the in-process tests cannot see.
 stage "scripts/fabric_smoke.sh" scripts/fabric_smoke.sh
 
-#  11. storm smoke — the serving front door under a short, seeded
+#   9. storm smoke — the serving front door under a short, seeded
 #      mixed-tenant saturation storm (self-hosted dispatcher, sim
 #      fidelity shrunk). --smoke fails the stage on any 5xx that is not
 #      a deliberate shed, on transport errors, and on per-tenant OK
@@ -161,7 +126,7 @@ storm_smoke() {
 }
 stage "storm smoke (seeded saturation, fairness gate)" storm_smoke
 
-#   12. (opt-in) substrate micro-benchmarks — set BENCH=1 to run
+#  10. (opt-in) substrate micro-benchmarks — set BENCH=1 to run
 #      scripts/bench.sh after the gates and record a BENCH_<n>.json
 #      entry in the performance trajectory. Not part of the default
 #      gate: benchmark numbers are machine-dependent and noisy on
