@@ -18,8 +18,10 @@ import (
 
 // cmdStorm implements `pdspbench storm`: the load harness that drives
 // the serving front door to saturation with mixed-tenant open-loop
-// traffic and records the outcome as a BENCH_<n>.json entry (sustained
-// req/s, latency quantiles, 429/shed counts, per-tenant fairness).
+// traffic and reports the outcome as JSON (sustained req/s, latency
+// quantiles, 429/shed counts, per-tenant fairness), on stdout unless
+// --out names a file. Progress and the human-readable summary go to
+// stderr, so stdout stays one JSON document.
 //
 // With --url it storms a live dispatcher; without, it self-hosts an
 // httptest server over a throwaway store with sim fidelity shrunk so
@@ -41,7 +43,7 @@ func cmdStorm(ctx context.Context, args []string) error {
 	sync := fs.Bool("sync", false, "submit runs synchronously instead of async+SSE")
 	workers := fs.Int("workers", 4, "self-hosted: worker-pool width")
 	tenantRate := fs.Float64("tenant-rate", 30, "self-hosted: per-tenant admission rate (req/s)")
-	out := fs.String("out", "", "report file; empty picks the next free BENCH_<n>.json, '-' prints to stdout only")
+	out := fs.String("out", "-", "report file; '-' writes the JSON report to stdout")
 	smoke := fs.Bool("smoke", false, "gate mode: exit nonzero on any unexplained 5xx/transport error or unfair tenant service")
 	fairTol := fs.Float64("fair-tol", 0.25, "smoke mode: max allowed per-tenant OK spread (relative deviation from the mean)")
 	fs.Parse(args)
@@ -94,7 +96,7 @@ func cmdStorm(ctx context.Context, args []string) error {
 		defer ts.Close()
 		defer srv.Close()
 		base = ts.URL
-		fmt.Printf("storm: self-hosted dispatcher at %s (workers=%d, tenant quota %.0f req/s)\n",
+		fmt.Fprintf(os.Stderr, "storm: self-hosted dispatcher at %s (workers=%d, tenant quota %.0f req/s)\n",
 			base, *workers, *tenantRate)
 	}
 
@@ -112,7 +114,7 @@ func cmdStorm(ctx context.Context, args []string) error {
 		})
 	}
 
-	fmt.Printf("storm: %d tenants × %d clients × %.0f req/s for %s (seed %d)\n",
+	fmt.Fprintf(os.Stderr, "storm: %d tenants × %d clients × %.0f req/s for %s (seed %d)\n",
 		len(scripts), *clients, *rate, *duration, *seed)
 	rep, err := storm.Run(ctx, storm.Config{
 		BaseURL:     base,
@@ -125,16 +127,16 @@ func cmdStorm(ctx context.Context, args []string) error {
 		return err
 	}
 
-	fmt.Printf("storm: %d requests in %.1fs — %.1f req/s sustained, p50 %.1fms, p99 %.1fms\n",
+	fmt.Fprintf(os.Stderr, "storm: %d requests in %.1fs — %.1f req/s sustained, p50 %.1fms, p99 %.1fms\n",
 		rep.Requests, rep.DurationS, rep.SustainedReqPerS, rep.P50LatencyMS, rep.P99LatencyMS)
-	fmt.Printf("storm: %d ok, %d rejected (429), %d shed (503), %d other 4xx, %d other 5xx, %d transport\n",
+	fmt.Fprintf(os.Stderr, "storm: %d ok, %d rejected (429), %d shed (503), %d other 4xx, %d other 5xx, %d transport\n",
 		rep.OK, rep.Rejected429, rep.Shed503, rep.Other4xx, rep.Other5xx, rep.Transport)
 	if rep.Serving != nil {
-		fmt.Printf("storm: server admission wait p50 %.1fms p99 %.1fms; %d admitted, %d completed\n",
+		fmt.Fprintf(os.Stderr, "storm: server admission wait p50 %.1fms p99 %.1fms; %d admitted, %d completed\n",
 			rep.Serving.AdmissionP50MS, rep.Serving.AdmissionP99MS, rep.Serving.Admitted, rep.Serving.Completed)
 	}
 	for name, tr := range rep.Tenants {
-		fmt.Printf("storm:   tenant %-10s %4d req  %4d ok  %4d 429  %4d 503  p99 %.1fms\n",
+		fmt.Fprintf(os.Stderr, "storm:   tenant %-10s %4d req  %4d ok  %4d 429  %4d 503  p99 %.1fms\n",
 			name, tr.Requests, tr.OK, tr.Rejected429, tr.Shed503, tr.P99MS)
 	}
 
@@ -153,33 +155,14 @@ func cmdStorm(ctx context.Context, args []string) error {
 		if sp > *fairTol {
 			return fmt.Errorf("storm smoke: per-tenant OK spread %.2f exceeds %.2f (%v)", sp, *fairTol, oks)
 		}
-		fmt.Printf("storm smoke: gates passed (no unexplained 5xx; OK spread %.2f ≤ %.2f)\n", sp, *fairTol)
+		fmt.Fprintf(os.Stderr, "storm smoke: gates passed (no unexplained 5xx; OK spread %.2f ≤ %.2f)\n", sp, *fairTol)
 	}
 
-	if *out == "-" {
-		return nil
-	}
-	path := *out
-	if path == "" {
-		path = nextBenchFile()
-	}
-	return writeStormReport(path, rep)
+	return writeStormReport(*out, rep)
 }
 
-// nextBenchFile picks the next free BENCH_<n>.json, matching the
-// numbering scripts/bench.sh uses for engine benchmarks — the storm
-// report joins the same recorded performance trajectory. Its entry has
-// no tuples_per_s field, so bench.sh --compare skips over it.
-func nextBenchFile() string {
-	for n := 1; ; n++ {
-		path := fmt.Sprintf("BENCH_%d.json", n)
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return path
-		}
-	}
-}
-
-// writeStormReport records the report with the BENCH-file envelope.
+// writeStormReport writes the report, stamped with its recording time,
+// to path, or to stdout when path is "-".
 func writeStormReport(path string, rep *storm.Report) error {
 	envelope := map[string]any{
 		"recorded": time.Now().UTC().Format(time.RFC3339),
@@ -189,9 +172,14 @@ func writeStormReport(path string, rep *storm.Report) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	data = append(data, '\n')
+	if path == "-" {
+		_, err := os.Stdout.Write(data)
 		return err
 	}
-	fmt.Printf("storm: report written to %s\n", path)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "storm: report written to %s\n", path)
 	return nil
 }

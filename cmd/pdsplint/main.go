@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	pdsplint [-config pdsplint.json] [-rule name[,name]] [packages]
+//	pdsplint [-rule name[,name]] [-json | -timings] [packages]
 //	pdsplint -list
 //
 // Packages default to ./... relative to the enclosing module. The exit
@@ -57,7 +57,6 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("pdsplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	configPath := fs.String("config", "", "policy config file (default: pdsplint.json at the module root, if present)")
 	list := fs.Bool("list", false, "list rules and exit")
 	ruleFilter := fs.String("rule", "", "comma-separated rule names to run (default: all)")
 	rootFlag := fs.String("root", "", "tree root to lint (default: the enclosing module root)")
@@ -70,8 +69,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	if *list {
 		for _, a := range lint.Analyzers() {
 			scope := "module-wide"
-			if len(a.DefaultDirs) > 0 {
-				scope = strings.Join(a.DefaultDirs, ", ")
+			if len(a.Dirs) > 0 {
+				scope = strings.Join(a.Dirs, ", ")
 			}
 			fmt.Fprintf(stdout, "%-26s [%s]\n    %s\n", a.Name, scope, a.Doc)
 		}
@@ -87,11 +86,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	} else if abs, err := filepath.Abs(root); err == nil {
 		root = abs
-	}
-	cfg, err := resolveConfig(*configPath, root)
-	if err != nil {
-		fmt.Fprintln(stderr, "pdsplint:", err)
-		return 2
 	}
 	analyzers := lint.Analyzers()
 	if *ruleFilter != "" {
@@ -128,7 +122,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	runner := &lint.Runner{Analyzers: analyzers, Config: cfg, ReportUnusedIgnores: *ruleFilter == ""}
+	runner := &lint.Runner{Analyzers: analyzers, ReportUnusedIgnores: *ruleFilter == ""}
 	diags := runner.Run(pkgs)
 	relFile := func(name string) string {
 		if r, err := filepath.Rel(root, name); err == nil {
@@ -187,19 +181,6 @@ func run(args []string, stdout, stderr *os.File) int {
 // digit.
 func roundMS(d time.Duration) float64 {
 	return float64(d.Round(100*time.Microsecond)) / float64(time.Millisecond)
-}
-
-// resolveConfig loads -config, or the module root's pdsplint.json when
-// present, or returns the built-in policy.
-func resolveConfig(path, root string) (*lint.Config, error) {
-	if path != "" {
-		return lint.LoadConfig(path)
-	}
-	def := filepath.Join(root, "pdsplint.json")
-	if _, err := os.Stat(def); err == nil {
-		return lint.LoadConfig(def)
-	}
-	return nil, nil
 }
 
 // findModuleRoot walks up from the working directory to go.mod.

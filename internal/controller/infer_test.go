@@ -2,6 +2,7 @@ package controller
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"pdspbench/internal/ml"
@@ -9,18 +10,31 @@ import (
 	"pdspbench/internal/workload"
 )
 
-func trainTestPredictor(t *testing.T, c *Controller) *Predictor {
+// testPredictor is the predictor both inference tests query: trained
+// once per package on a 150-query random corpus (seed 21). Predict and
+// PickParallelism only read the model, so the tests can share it.
+var testPredictor struct {
+	once sync.Once
+	pred *Predictor
+	err  error
+}
+
+func trainTestPredictor(t *testing.T) *Predictor {
 	t.Helper()
-	corpus, err := c.BuildCorpus(context.Background(), "random", workload.Structures, 150, c.Homogeneous(), 21)
-	if err != nil {
-		t.Fatal(err)
+	testPredictor.once.Do(func() {
+		c := tiny()
+		corpus, err := c.BuildCorpus(context.Background(), "random", workload.Structures, 150, c.Homogeneous(), 21)
+		if err != nil {
+			testPredictor.err = err
+			return
+		}
+		testPredictor.pred, testPredictor.err = c.TrainPredictor(corpus.Dataset, c.Homogeneous(),
+			ml.TrainOptions{MaxEpochs: 60, Patience: 8, LearningRate: 3e-3})
+	})
+	if testPredictor.err != nil {
+		t.Fatal(testPredictor.err)
 	}
-	pred, err := c.TrainPredictor(corpus.Dataset, c.Homogeneous(),
-		ml.TrainOptions{MaxEpochs: 60, Patience: 8, LearningRate: 3e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pred
+	return testPredictor.pred
 }
 
 func TestPredictorAccuracyOnFreshPlans(t *testing.T) {
@@ -28,7 +42,7 @@ func TestPredictorAccuracyOnFreshPlans(t *testing.T) {
 		t.Skip("predictor training is slow")
 	}
 	c := tiny()
-	pred := trainTestPredictor(t, c)
+	pred := trainTestPredictor(t)
 	var truths, preds []float64
 	for _, s := range []workload.Structure{workload.StructLinear, workload.StructTwoWayJoin, workload.StructThreeJoin} {
 		for _, degree := range []int{2, 16} {
@@ -65,7 +79,7 @@ func TestPickParallelismAvoidsExtremes(t *testing.T) {
 		t.Skip("predictor training is slow")
 	}
 	c := tiny()
-	pred := trainTestPredictor(t, c)
+	pred := trainTestPredictor(t)
 	// A multi-way join at 500k events/s saturates at degree 1 — the
 	// corpus contains that regime, so the tuned degree must not be 1.
 	plan, err := c.SyntheticPlan(workload.StructThreeJoin, 1)

@@ -3,48 +3,56 @@ package lint
 import (
 	"go/ast"
 	"strconv"
+	"strings"
 )
 
-// defaultBoundaries are the shipped architectural constraints, mirroring
-// the paper's WUI → controller → SUT layering: the HTTP layer and the
-// benchmark controller never touch an execution engine directly — all
-// runs flow through the internal/backend protocol, and the server talks
-// to backends only via the controller.
-var defaultBoundaries = []Boundary{
-	{From: "internal/server", Forbid: "internal/engine", Via: "internal/controller"},
-	{From: "internal/server", Forbid: "internal/simengine", Via: "internal/controller"},
-	{From: "internal/controller", Forbid: "internal/engine", Via: "internal/backend"},
-	{From: "internal/controller", Forbid: "internal/simengine", Via: "internal/backend"},
-	{From: "cmd/pdspbench", Forbid: "internal/engine", Via: "internal/backend"},
-	{From: "cmd/pdspbench", Forbid: "internal/simengine", Via: "internal/backend"},
+// A boundary forbids packages under from to import forbid directly;
+// via names the sanctioned mediator, quoted in the diagnostic.
+type boundary struct{ from, forbid, via string }
+
+// boundaries are the architectural constraints, mirroring the paper's
+// WUI → controller → SUT layering: the HTTP layer and the benchmark
+// controller never touch an execution engine directly — all runs flow
+// through the internal/backend protocol, and the server talks to
+// backends only via the controller.
+var boundaries = []boundary{
+	{"internal/server", "internal/engine", "internal/controller"},
+	{"internal/server", "internal/simengine", "internal/controller"},
+	{"internal/controller", "internal/engine", "internal/backend"},
+	{"internal/controller", "internal/simengine", "internal/backend"},
+	{"cmd/pdspbench", "internal/engine", "internal/backend"},
+	{"cmd/pdspbench", "internal/simengine", "internal/backend"},
 }
 
-// defaultDualImports pin the one-bridge invariant of the execution
-// layer: the real engine and the simulator are two backends behind one
-// run protocol, so internal/backend is the only package allowed to see
-// both. Everything else picks a side or stays above the protocol.
-var defaultDualImports = []DualImport{
-	{A: "internal/engine", B: "internal/simengine", Allow: []string{"internal/backend"}},
+// dualImports pin the one-bridge invariant of the execution layer: the
+// real engine and the simulator are two backends behind one run
+// protocol, so no package outside allow may import both a and b.
+// Everything else picks a side or stays above the protocol.
+var dualImports = []struct {
+	a, b  string
+	allow []string
+}{
+	{"internal/engine", "internal/simengine", []string{"internal/backend"}},
 }
 
-// defaultRestrictedImports fence off the campaign fabric: the queue's
-// lease ledger is dispatcher-private state, so only the dispatcher
-// (internal/server), the campaign layer (internal/controller) and the
-// CLI may import it. An engine or backend reaching into the queue would
-// invert the fabric's layering — workers talk to the dispatcher over
-// HTTP, never to the ledger directly.
-var defaultRestrictedImports = []RestrictedImport{
-	{Pkg: "internal/queue", Allow: []string{
-		"internal/queue", "internal/server", "internal/controller", "cmd/pdspbench",
-	}},
+// restrictedImports fence off the campaign fabric: only packages under
+// allow may import pkg. The queue's lease ledger is dispatcher-private
+// state, so only the dispatcher (internal/server), the campaign layer
+// (internal/controller) and the CLI may import it. An engine or backend
+// reaching into the queue would invert the fabric's layering — workers
+// talk to the dispatcher over HTTP, never to the ledger directly.
+var restrictedImports = []struct {
+	pkg   string
+	allow []string
+}{
+	{"internal/queue", []string{"internal/queue", "internal/server", "internal/controller", "cmd/pdspbench"}},
 }
 
 // APIBoundary enforces layered imports: packages under a constrained
 // directory may not import a forbidden package directly and must go
-// through the sanctioned mediator; and no package outside the allowed
-// bridge may import both sides of a dual-import constraint. Boundaries
-// come from the policy config, defaulting to the server/controller/CLI
-// → backend → engine layering.
+// through the sanctioned mediator; no package outside the allowed
+// bridge may import both sides of a dual-import constraint; and a
+// fenced package may be imported only from its allow list.
 func APIBoundary() *Analyzer {
 	return &Analyzer{
 		Name: "api-boundary",
@@ -52,95 +60,65 @@ func APIBoundary() *Analyzer {
 			"internal/engine or internal/simengine directly; execution goes through " +
 			"internal/backend, and only internal/backend may import both engines. " +
 			"internal/queue may be imported only by the dispatcher (internal/server), " +
-			"internal/controller, and cmd/pdspbench. Additional boundaries, dual-import " +
-			"constraints, and restricted imports can be declared in the policy config.",
+			"internal/controller, and cmd/pdspbench.",
 		Run: runAPIBoundary,
 	}
 }
 
-func runAPIBoundary(p *Pass) {
-	boundaries := defaultBoundaries
-	if p.Config != nil && len(p.Config.Boundaries) > 0 {
-		boundaries = p.Config.Boundaries
-	}
-	module := modulePathOf(p.Pkg)
-	for _, b := range boundaries {
-		if !dirHasPrefix(p.Pkg.Dir, b.From) {
-			continue
-		}
-		for _, f := range p.Pkg.Files {
-			for _, imp := range f.Imports {
-				rel, ok := relImport(imp, module)
-				if !ok || !dirHasPrefix(rel, b.Forbid) {
-					continue
-				}
-				p.Reportf(imp.Pos(), "%s must not import %s directly; go through %s", b.From, b.Forbid, b.Via)
-			}
-		}
-	}
+type moduleImport struct {
+	rel  string // module-relative directory of the imported package
+	spec *ast.ImportSpec
+}
 
-	dual := defaultDualImports
-	if p.Config != nil && len(p.Config.DualImports) > 0 {
-		dual = p.Config.DualImports
-	}
-	for _, di := range dual {
-		allowed := false
-		for _, a := range di.Allow {
-			if dirHasPrefix(p.Pkg.Dir, a) {
-				allowed = true
-				break
-			}
-		}
-		if allowed {
-			continue
-		}
-		// The diagnostic lands on the B-side import: with A established
-		// elsewhere in the package, that import is the one that closes
-		// the forbidden pair.
-		var fromA, fromB *ast.ImportSpec
-		for _, f := range p.Pkg.Files {
-			for _, imp := range f.Imports {
-				rel, ok := relImport(imp, module)
-				if !ok {
-					continue
-				}
-				if fromA == nil && dirHasPrefix(rel, di.A) {
-					fromA = imp
-				}
-				if fromB == nil && dirHasPrefix(rel, di.B) {
-					fromB = imp
+func runAPIBoundary(w *WholePass) {
+	for _, pkg := range w.Scoped() {
+		module := modulePathOf(pkg)
+		var imps []moduleImport
+		for _, f := range pkg.Files {
+			for _, spec := range f.Imports {
+				if rel, ok := relImport(spec, module); ok {
+					imps = append(imps, moduleImport{rel, spec})
 				}
 			}
 		}
-		if fromA != nil && fromB != nil {
-			p.Reportf(fromB.Pos(), "%s imports both %s and %s; only %v may bridge them",
-				p.Pkg.Dir, di.A, di.B, di.Allow)
-		}
-	}
-
-	restricted := defaultRestrictedImports
-	if p.Config != nil && len(p.Config.RestrictedImports) > 0 {
-		restricted = p.Config.RestrictedImports
-	}
-	for _, ri := range restricted {
-		allowed := false
-		for _, a := range ri.Allow {
-			if dirHasPrefix(p.Pkg.Dir, a) {
-				allowed = true
-				break
+		for _, b := range boundaries {
+			if !dirHasPrefix(pkg.Dir, b.from) {
+				continue
+			}
+			for _, imp := range imps {
+				if dirHasPrefix(imp.rel, b.forbid) {
+					w.Reportf(imp.spec.Pos(), "%s must not import %s directly; go through %s", b.from, b.forbid, b.via)
+				}
 			}
 		}
-		if allowed {
-			continue
-		}
-		for _, f := range p.Pkg.Files {
-			for _, imp := range f.Imports {
-				rel, ok := relImport(imp, module)
-				if !ok || !dirHasPrefix(rel, ri.Pkg) {
-					continue
+		for _, di := range dualImports {
+			if underAny(pkg.Dir, di.allow) {
+				continue
+			}
+			// The diagnostic lands on the B-side import: with A
+			// established elsewhere in the package, that import is the
+			// one that closes the forbidden pair.
+			var fromA, fromB *ast.ImportSpec
+			for _, imp := range imps {
+				if fromA == nil && dirHasPrefix(imp.rel, di.a) {
+					fromA = imp.spec
 				}
-				p.Reportf(imp.Pos(), "%s may be imported only by %v; %s is outside the fence",
-					ri.Pkg, ri.Allow, p.Pkg.Dir)
+				if fromB == nil && dirHasPrefix(imp.rel, di.b) {
+					fromB = imp.spec
+				}
+			}
+			if fromA != nil && fromB != nil {
+				w.Reportf(fromB.Pos(), "%s imports both %s and %s; only %v may bridge them", pkg.Dir, di.a, di.b, di.allow)
+			}
+		}
+		for _, ri := range restrictedImports {
+			if underAny(pkg.Dir, ri.allow) {
+				continue
+			}
+			for _, imp := range imps {
+				if dirHasPrefix(imp.rel, ri.pkg) {
+					w.Reportf(imp.spec.Pos(), "%s may be imported only by %v; %s is outside the fence", ri.pkg, ri.allow, pkg.Dir)
+				}
 			}
 		}
 	}
@@ -152,16 +130,9 @@ func relImport(imp *ast.ImportSpec, module string) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	return moduleRelative(path, module)
-}
-
-// moduleRelative strips the module prefix from an import path.
-func moduleRelative(path, module string) (string, bool) {
 	if path == module {
 		return ".", true
 	}
-	if len(path) > len(module)+1 && path[:len(module)] == module && path[len(module)] == '/' {
-		return path[len(module)+1:], true
-	}
-	return "", false
+	rel, ok := strings.CutPrefix(path, module+"/")
+	return rel, ok && rel != ""
 }

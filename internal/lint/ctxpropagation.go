@@ -20,8 +20,8 @@ func CtxPropagation() *Analyzer {
 			"methods, CLI commands) that block — channel operations, time.Sleep, net/http " +
 			"requests — must accept a context.Context, and context.Background()/TODO() may " +
 			"not be introduced below the entry layer: both sever the cancellation chain.",
-		DefaultDirs: []string{"internal/queue", "internal/server", "internal/storage", "internal/storm", "cmd"},
-		RunWhole:    runCtxPropagation,
+		Dirs: []string{"internal/queue", "internal/server", "internal/storage", "internal/storm", "cmd"},
+		Run:  runCtxPropagation,
 	}
 }
 
@@ -72,7 +72,7 @@ func ctxEntryPoints(prog *flow.Program) (roots []*flow.Func, cliEntries map[*flo
 	cliEntries = make(map[*flow.Func]bool)
 	for _, fn := range prog.All() {
 		switch {
-		case fn.Unit.Pkg != nil && fn.Unit.Pkg.Name() == "main":
+		case fn.Unit.Types != nil && fn.Unit.Types.Name() == "main":
 			roots = append(roots, fn)
 			cliEntries[fn] = true
 		case isHTTPHandler(fn.Obj):

@@ -37,42 +37,40 @@ func ErrorDiscipline() *Analyzer {
 	}
 }
 
-func runErrorDiscipline(p *Pass) {
-	if p.Pkg.Types != nil && p.Pkg.Types.Name() == "main" {
-		return
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, isExpr := n.(*ast.ExprStmt)
-			if !isExpr {
+func runErrorDiscipline(w *WholePass) {
+	for _, pkg := range w.Scoped() {
+		if pkg.Types != nil && pkg.Types.Name() == "main" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if stmt, isExpr := n.(*ast.ExprStmt); isExpr {
+					if call, isCall := stmt.X.(*ast.CallExpr); isCall {
+						if name := discardedError(pkg, call); name != "" {
+							w.Reportf(call.Pos(), "result of %s includes an error that is silently discarded; handle it or assign it explicitly", name)
+						}
+					}
+				}
 				return true
-			}
-			call, isCall := stmt.X.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			if name := discardedError(p, call); name != "" {
-				p.Reportf(call.Pos(), "result of %s includes an error that is silently discarded; handle it or assign it explicitly", name)
-			}
-			return true
-		})
+			})
+		}
 	}
 }
 
 // discardedError reports the callee name when the call returns an error
 // that the statement drops, or "" when the call is exempt or error-free.
-func discardedError(p *Pass, call *ast.CallExpr) string {
-	t := p.TypeOf(call)
+func discardedError(u *Package, call *ast.CallExpr) string {
+	t := u.TypeOf(call)
 	if t == nil || !resultHasError(t) {
 		return ""
 	}
-	if pkgPath, name, ok := pkgFuncCall(p, call); ok {
+	if pkgPath, name, ok := pkgFuncCall(u, call); ok {
 		if pkgPath == "fmt" && fmtPrinting[name] {
 			return ""
 		}
 		return pkgPath + "." + name
 	}
-	if _, pkgPath, typeName, method, ok := methodCallOn(p, call); ok {
+	if _, pkgPath, typeName, method, ok := methodCallOn(u, call); ok {
 		qualified := pkgPath + "." + typeName
 		if infallibleWriters[qualified] {
 			return ""

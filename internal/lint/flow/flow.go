@@ -1,8 +1,8 @@
 // Package flow is pdsplint's whole-program layer: it folds every
 // type-checked package of one load into a single static call graph with
-// a per-function fact store, so cross-package protocol rules (context
-// propagation, lock ordering, lease linearity, channel discipline) share
-// one traversal of the typed AST instead of re-walking it per rule.
+// a per-function fact store, so cross-package rules (context
+// propagation, lock ordering) share one traversal of the typed AST
+// instead of re-walking it per rule.
 //
 // The graph is deliberately conservative and cheap:
 //
@@ -18,7 +18,7 @@
 //     graph are therefore may-miss, never may-crash.
 //   - Facts are memoised per program. Program.Memo gives each analyzer a
 //     compute-once slot (e.g. the transitive blocking classification) so
-//     four rules running over one Runner invocation pay for one fixpoint.
+//     every rule in one Runner invocation pays for one fixpoint.
 package flow
 
 import (
@@ -29,19 +29,24 @@ import (
 	"sort"
 )
 
-// Unit is one loaded, type-checked package — the slice of a lint load
-// the flow layer needs, without importing the lint package itself.
+// Unit is one loaded, type-checked package. The lint package uses it
+// as its Package type, so the flow layer needs no import of lint.
 type Unit struct {
-	// Path is the import path, Dir the module-relative directory.
+	// Path is the import path, Dir the module-relative directory (forward
+	// slashes; rule scopes match against it).
 	Path string
 	Dir  string
+	// Fset positions all Files; one load shares one FileSet.
 	Fset *token.FileSet
-	// Files are the parsed sources of the package.
+	// Files are the parsed non-test sources of the package.
 	Files []*ast.File
-	// Pkg and Info come from the shared type-check pass; either may be
+	// Types and Info come from the shared type-check pass; either may be
 	// nil for damaged packages, and the graph degrades to fewer edges.
-	Pkg  *types.Package
-	Info *types.Info
+	Types *types.Package
+	Info  *types.Info
+	// TypeErrors collects soft type-check problems; rules still run
+	// because most checks are syntactic, but the CLI reports them.
+	TypeErrors []error
 }
 
 // TypeOf returns the type of e under this unit's type information, or
@@ -123,8 +128,6 @@ func typeShort(t types.Type) string {
 
 // Program is the whole-program view over one load.
 type Program struct {
-	Units []*Unit
-
 	funcs  map[*types.Func]*Func
 	sorted []*Func // declaration order across units
 	memo   map[string]any
@@ -134,7 +137,6 @@ type Program struct {
 // type-check holes simply drop facts or edges.
 func Build(units []*Unit) *Program {
 	p := &Program{
-		Units: units,
 		funcs: make(map[*types.Func]*Func),
 		memo:  make(map[string]any),
 	}
@@ -174,17 +176,6 @@ func (p *Program) All() []*Func { return p.sorted }
 
 // FuncOf returns the node for a declaration's object, or nil.
 func (p *Program) FuncOf(obj *types.Func) *Func { return p.funcs[obj] }
-
-// FuncOfDecl resolves a syntax declaration to its node, or nil.
-func (p *Program) FuncOfDecl(u *Unit, fd *ast.FuncDecl) *Func {
-	if u.Info == nil {
-		return nil
-	}
-	if obj, isObj := u.Info.Defs[fd.Name].(*types.Func); isObj {
-		return p.funcs[obj]
-	}
-	return nil
-}
 
 // Memo returns the cached value for key, computing it once via build.
 // Analyzers use it to share whole-program facts (the fact store's

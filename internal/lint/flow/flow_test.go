@@ -35,7 +35,7 @@ func loadUnit(t *testing.T, src string) *flow.Unit {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &flow.Unit{Path: "unit", Dir: ".", Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}
+	return &flow.Unit{Path: "unit", Dir: ".", Fset: fset, Files: []*ast.File{f}, Types: pkg, Info: info}
 }
 
 func fnByName(t *testing.T, prog *flow.Program, name string) *flow.Func {

@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzLintLoader feeds arbitrary (mostly malformed) Go source through
-// the whole v2 pipeline: parse, type-check with the module importer,
+// the whole pipeline: parse, type-check with the module importer,
 // build the flow graph, and run every analyzer. Broken input must
 // surface as a load error or soft type errors — never a panic. The
 // seeds cover the shapes the protocol analyzers dig into: channels,

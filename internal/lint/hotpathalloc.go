@@ -77,42 +77,42 @@ func HotPathAlloc() *Analyzer {
 			"MaterializeRow) inside loops — kernels operate on column slabs, and watermark " +
 			"merges and session coalescing run per message. " +
 			"Suppress deliberately-cold call sites with //lint:ignore hotpath-alloc <reason>.",
-		DefaultDirs: []string{"internal/engine", "internal/des", "internal/simengine", "internal/tuple", "internal/core", "internal/stream"},
-		Run:         runHotPathAlloc,
+		Dirs: []string{"internal/engine", "internal/des", "internal/simengine", "internal/tuple", "internal/core", "internal/stream"},
+		Run:  runHotPathAlloc,
 	}
 }
 
-func runHotPathAlloc(p *Pass) {
-	strictOnly := strictOnlyPkgs[path.Base(p.Pkg.Dir)]
-	for _, f := range p.Pkg.Files {
-		base := filepath.Base(p.Pkg.Fset.Position(f.Pos()).Filename)
-		isStrict := columnarFile(base) || eventTimeFile(base)
-		if strictOnly && !isStrict {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if isStrict {
-				switch n.(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-					checkKernelLoop(p, n)
+func runHotPathAlloc(w *WholePass) {
+	for _, pkg := range w.Scoped() {
+		strictOnly := strictOnlyPkgs[path.Base(pkg.Dir)]
+		for _, f := range pkg.Files {
+			base := filepath.Base(pkg.Fset.Position(f.Pos()).Filename)
+			isStrict := columnarFile(base) || eventTimeFile(base)
+			if strictOnly && !isStrict {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if isStrict {
+					switch n.(type) {
+					case *ast.ForStmt, *ast.RangeStmt:
+						checkKernelLoop(w, pkg, n)
+					}
 				}
-			}
-			call, isCall := n.(*ast.CallExpr)
-			if !isCall {
+				call, isCall := n.(*ast.CallExpr)
+				if !isCall {
+					return true
+				}
+				pkgPath, name, ok := pkgFuncCall(pkg, call)
+				if !ok {
+					return true
+				}
+				if hint, banned := hotAllocCalls[pkgPath][name]; banned {
+					short := pkgPath[strings.LastIndex(pkgPath, "/")+1:]
+					w.Reportf(call.Pos(), "%s.%s allocates on every call in data-plane code; %s", short, name, hint)
+				}
 				return true
-			}
-			pkgPath, name, ok := pkgFuncCall(p, call)
-			if !ok {
-				return true
-			}
-			hint, banned := hotAllocCalls[pkgPath][name]
-			if !banned {
-				return true
-			}
-			short := pkgPath[strings.LastIndex(pkgPath, "/")+1:]
-			p.Reportf(call.Pos(), "%s.%s allocates on every call in data-plane code; %s", short, name, hint)
-			return true
-		})
+			})
+		}
 	}
 }
 
@@ -121,7 +121,7 @@ func runHotPathAlloc(p *Pass) {
 // discarded writer is per-row work), and no per-row boxing — the whole
 // point of the columnar plane is that rows stay unmaterialized until a
 // row-only consumer forces them.
-func checkKernelLoop(p *Pass, loop ast.Node) {
+func checkKernelLoop(w *WholePass, u *Package, loop ast.Node) {
 	var body *ast.BlockStmt
 	switch l := loop.(type) {
 	case *ast.ForStmt:
@@ -137,26 +137,26 @@ func checkKernelLoop(p *Pass, loop ast.Node) {
 		if !isCall {
 			return true
 		}
-		if pkgPath, name, ok := pkgFuncCall(p, call); ok {
+		if pkgPath, name, ok := pkgFuncCall(u, call); ok {
 			if pkgPath == "fmt" {
-				p.Reportf(call.Pos(), "fmt.%s inside a kernel loop runs per row; format outside the loop or drop it", name)
+				w.Reportf(call.Pos(), "fmt.%s inside a kernel loop runs per row; format outside the loop or drop it", name)
 				return true
 			}
 			if path.Base(pkgPath) == "tuple" && name == "Get" {
-				p.Reportf(call.Pos(), "tuple.Get inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
+				w.Reportf(call.Pos(), "tuple.Get inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
 				return true
 			}
 		}
-		if _, recvPkg, typeName, method, ok := methodCallOn(p, call); ok {
+		if _, recvPkg, typeName, method, ok := methodCallOn(u, call); ok {
 			if typeName == "ColumnBatch" && method == "MaterializeRow" && path.Base(recvPkg) == "tuple" {
-				p.Reportf(call.Pos(), "MaterializeRow inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
+				w.Reportf(call.Pos(), "MaterializeRow inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
 			}
 			return true
 		}
 		// Unqualified Get(...) inside package tuple itself.
 		if id, isID := call.Fun.(*ast.Ident); isID && id.Name == "Get" {
-			if fn, isFn := p.ObjectOf(id).(*types.Func); isFn && fn.Pkg() != nil && path.Base(fn.Pkg().Path()) == "tuple" {
-				p.Reportf(call.Pos(), "tuple.Get inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
+			if fn, isFn := u.ObjectOf(id).(*types.Func); isFn && fn.Pkg() != nil && path.Base(fn.Pkg().Path()) == "tuple" {
+				w.Reportf(call.Pos(), "tuple.Get inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
 			}
 		}
 		return true

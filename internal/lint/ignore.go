@@ -1,61 +1,47 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"strings"
 )
 
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
-	rule   string // rule name or "all"
-	reason string
-	line   int
-	pos    token.Pos
-	used   bool
+	rule string // rule name or "all"
+	pos  token.Position
+	used bool
 }
 
-// ignoreSet holds the directives of one package keyed by file name.
-type ignoreSet struct {
-	fset *token.FileSet
-	byFn map[string][]*ignoreDirective
-}
+// ignoreSet holds the directives of one load keyed by file name.
+type ignoreSet map[string][]*ignoreDirective
 
 const ignorePrefix = "//lint:ignore"
 
-// collectIgnores parses every //lint:ignore directive in the package.
+// collectIgnores parses every //lint:ignore directive in the packages.
 // Malformed directives (missing rule or reason) are themselves reported
 // through report so suppressions always carry a rationale.
-func collectIgnores(pkg *Package, report func(rule string, pos token.Pos, format string, args ...any)) *ignoreSet {
-	set := &ignoreSet{fset: pkg.Fset, byFn: make(map[string][]*ignoreDirective)}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
+func collectIgnores(pkgs []*Package, report func(rule string, pos token.Pos, format string, args ...any)) ignoreSet {
+	set := ignoreSet{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if !strings.HasPrefix(c.Text, ignorePrefix) {
+						continue
+					}
+					fields := strings.Fields(strings.TrimPrefix(c.Text, ignorePrefix))
+					switch {
+					case len(fields) == 0:
+						report("lint-directive", c.Pos(), "lint:ignore needs a rule name and a reason")
+					case fields[0] != "all" && AnalyzerByName(fields[0]) == nil:
+						report("lint-directive", c.Pos(), "lint:ignore names unknown rule %q", fields[0])
+					case len(fields) < 2:
+						report("lint-directive", c.Pos(), "lint:ignore %s needs a reason", fields[0])
+					default:
+						pos := pkg.Fset.Position(c.Pos())
+						set[pos.Filename] = append(set[pos.Filename], &ignoreDirective{rule: fields[0], pos: pos})
+					}
 				}
-				rest := strings.TrimPrefix(c.Text, ignorePrefix)
-				fields := strings.Fields(rest)
-				pos := pkg.Fset.Position(c.Pos())
-				if len(fields) == 0 {
-					report("lint-directive", c.Pos(), "lint:ignore needs a rule name and a reason")
-					continue
-				}
-				rule := fields[0]
-				if rule != "all" && AnalyzerByName(rule) == nil {
-					report("lint-directive", c.Pos(), "lint:ignore names unknown rule %q", rule)
-					continue
-				}
-				if len(fields) < 2 {
-					report("lint-directive", c.Pos(), "lint:ignore %s needs a reason", rule)
-					continue
-				}
-				set.byFn[pos.Filename] = append(set.byFn[pos.Filename], &ignoreDirective{
-					rule:   rule,
-					reason: strings.Join(fields[1:], " "),
-					line:   pos.Line,
-					pos:    c.Pos(),
-				})
 			}
 		}
 	}
@@ -64,12 +50,12 @@ func collectIgnores(pkg *Package, report func(rule string, pos token.Pos, format
 
 // suppressed reports whether a diagnostic for rule at pos is covered by
 // a directive on the same line or the line above, and marks it used.
-func (s *ignoreSet) suppressed(rule string, pos token.Position) bool {
-	for _, d := range s.byFn[pos.Filename] {
+func (s ignoreSet) suppressed(rule string, pos token.Position) bool {
+	for _, d := range s[pos.Filename] {
 		if d.rule != rule && d.rule != "all" {
 			continue
 		}
-		if d.line == pos.Line || d.line == pos.Line-1 {
+		if d.pos.Line == pos.Line || d.pos.Line == pos.Line-1 {
 			d.used = true
 			return true
 		}
@@ -79,9 +65,9 @@ func (s *ignoreSet) suppressed(rule string, pos token.Position) bool {
 
 // unused returns directives that suppressed nothing, so stale ignores
 // are cleaned up rather than rotting.
-func (s *ignoreSet) unused() []*ignoreDirective {
+func (s ignoreSet) unused() []*ignoreDirective {
 	var out []*ignoreDirective
-	for _, ds := range s.byFn {
+	for _, ds := range s {
 		for _, d := range ds {
 			if !d.used {
 				out = append(out, d)
@@ -89,31 +75,4 @@ func (s *ignoreSet) unused() []*ignoreDirective {
 		}
 	}
 	return out
-}
-
-// funcStack tracks the enclosing function chain during an AST walk;
-// several analyzers need "the nearest enclosing function body".
-type funcStack []ast.Node
-
-func (s *funcStack) push(n ast.Node) { *s = append(*s, n) }
-func (s *funcStack) pop()            { *s = (*s)[:len(*s)-1] }
-
-// top returns the innermost enclosing function node (FuncDecl or
-// FuncLit), or nil at package level.
-func (s funcStack) top() ast.Node {
-	if len(s) == 0 {
-		return nil
-	}
-	return s[len(s)-1]
-}
-
-// funcBody returns the body of a FuncDecl or FuncLit.
-func funcBody(n ast.Node) *ast.BlockStmt {
-	switch fn := n.(type) {
-	case *ast.FuncDecl:
-		return fn.Body
-	case *ast.FuncLit:
-		return fn.Body
-	}
-	return nil
 }

@@ -21,149 +21,49 @@ func LeaseLinearity() *Analyzer {
 			"again on that path, and it must not be stored into a struct field or map that " +
 			"outlives the lease. Extend renews without consuming. Consumption inside a " +
 			"terminating branch (return/panic/break) does not poison the fall-through path.",
-		DefaultDirs: []string{"internal/queue", "internal/server", "cmd"},
-		RunWhole:    runLeaseLinearity,
+		Dirs: []string{"internal/queue", "internal/server", "cmd"},
+		Run:  runLeaseLinearity,
 	}
 }
 
 func runLeaseLinearity(w *WholePass) {
 	for _, fn := range w.Program.All() {
+		if !w.InScope(fn.Unit) {
+			continue
+		}
 		ls := &leaseScan{u: fn.Unit, w: w, vars: map[types.Object]bool{}}
-		ls.block(fn.Decl.Body.List, map[string]*leaseConsume{})
+		ls.walk = pathWalk[string]{join: true, visit: ls.visit}
+		ls.walk.block(fn.Decl.Body.List, map[string]string{})
 	}
 }
 
-type leaseConsume struct {
-	by string // consuming call, for the diagnostic
-}
-
 // leaseScan walks one function in statement order, tracking which token
-// expressions have been consumed. Branch bodies run on a copy of the
-// consumed set; a branch that terminates (return, panic, break,
-// continue, goto) does not leak its consumptions into the fall-through
-// path — that is the shape of every correct Fail-then-return /
-// Complete-below handler.
+// expressions have been consumed on the current path and by which call.
 type leaseScan struct {
-	u *flow.Unit
-	w *WholePass
+	u    *Package
+	w    *WholePass
+	walk pathWalk[string]
 	// vars are local identifiers assigned from token expressions; they
 	// carry the token's linearity.
 	vars map[types.Object]bool
 }
 
-func (ls *leaseScan) block(list []ast.Stmt, consumed map[string]*leaseConsume) {
-	for _, st := range list {
-		ls.stmt(st, consumed)
-	}
-}
-
-func copyConsumed(c map[string]*leaseConsume) map[string]*leaseConsume {
-	out := make(map[string]*leaseConsume, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
-func mergeConsumed(dst, src map[string]*leaseConsume) {
-	for k, v := range src {
-		if dst[k] == nil {
-			dst[k] = v
-		}
-	}
-}
-
-// branch runs a conditional body on its own copy of the consumed set
-// and merges the result back only when the body can fall through.
-func (ls *leaseScan) branch(list []ast.Stmt, consumed map[string]*leaseConsume) {
-	inner := copyConsumed(consumed)
-	ls.block(list, inner)
-	if !terminates(list) {
-		mergeConsumed(consumed, inner)
-	}
-}
-
-func (ls *leaseScan) stmt(st ast.Stmt, consumed map[string]*leaseConsume) {
-	switch s := st.(type) {
-	case *ast.ExprStmt:
-		ls.expr(s.X, consumed)
-	case *ast.AssignStmt:
+func (ls *leaseScan) visit(n ast.Node, consumed map[string]string) {
+	if s, isAssign := n.(*ast.AssignStmt); isAssign {
 		for _, rhs := range s.Rhs {
-			ls.expr(rhs, consumed)
+			ls.exprNode(rhs, consumed)
 		}
-		ls.assign(s, consumed)
-	case *ast.DeferStmt:
-		ls.expr(s.Call, consumed)
-	case *ast.GoStmt:
-		ls.expr(s.Call, consumed)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			ls.expr(r, consumed)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			ls.stmt(s.Init, consumed)
-		}
-		ls.expr(s.Cond, consumed)
-		ls.branch(s.Body.List, consumed)
-		if s.Else != nil {
-			ls.stmt(s.Else, consumed)
-		}
-	case *ast.BlockStmt:
-		ls.block(s.List, consumed)
-	case *ast.LabeledStmt:
-		ls.stmt(s.Stmt, consumed)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			ls.stmt(s.Init, consumed)
-		}
-		if s.Cond != nil {
-			ls.expr(s.Cond, consumed)
-		}
-		ls.branch(s.Body.List, consumed)
-	case *ast.RangeStmt:
-		ls.expr(s.X, consumed)
-		ls.branch(s.Body.List, consumed)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			ls.stmt(s.Init, consumed)
-		}
-		if s.Tag != nil {
-			ls.expr(s.Tag, consumed)
-		}
-		ls.caseClauses(s.Body, consumed)
-	case *ast.TypeSwitchStmt:
-		ls.caseClauses(s.Body, consumed)
-	case *ast.SelectStmt:
-		for _, clause := range s.Body.List {
-			if c, isComm := clause.(*ast.CommClause); isComm {
-				if c.Comm != nil {
-					ls.stmt(c.Comm, copyConsumed(consumed))
-				}
-				ls.branch(c.Body, consumed)
-			}
-		}
-	case *ast.DeclStmt, *ast.SendStmt, *ast.IncDecStmt:
-		ls.exprNode(st, consumed)
+		ls.assign(s)
+		return
 	}
-}
-
-func (ls *leaseScan) caseClauses(body *ast.BlockStmt, consumed map[string]*leaseConsume) {
-	for _, clause := range body.List {
-		if c, isCase := clause.(*ast.CaseClause); isCase {
-			for _, e := range c.List {
-				ls.expr(e, consumed)
-			}
-			ls.branch(c.Body, consumed)
-		}
-	}
+	ls.exprNode(n, consumed)
 }
 
 // assign tracks token flow through locals and reports tokens escaping
 // into fields or maps. Writes to a destination itself named LeaseID are
 // the queue's own bookkeeping (minting, clearing, echoing into request
 // structs) and are exempt.
-func (ls *leaseScan) assign(s *ast.AssignStmt, consumed map[string]*leaseConsume) {
+func (ls *leaseScan) assign(s *ast.AssignStmt) {
 	for i, lhs := range s.Lhs {
 		if i >= len(s.Rhs) {
 			break
@@ -188,21 +88,14 @@ func (ls *leaseScan) assign(s *ast.AssignStmt, consumed map[string]*leaseConsume
 	}
 }
 
-// expr reports token reads on consumed paths and marks tokens passed to
-// consuming calls.
-func (ls *leaseScan) expr(e ast.Expr, consumed map[string]*leaseConsume) {
-	if e == nil {
-		return
-	}
-	ls.exprNode(e, consumed)
-}
-
-func (ls *leaseScan) exprNode(n ast.Node, consumed map[string]*leaseConsume) {
+// exprNode reports token reads on consumed paths and marks tokens
+// passed to consuming calls.
+func (ls *leaseScan) exprNode(n ast.Node, consumed map[string]string) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch e := x.(type) {
 		case *ast.FuncLit:
 			// A closure shares the frame's tokens; scan with the same set.
-			ls.block(e.Body.List, consumed)
+			ls.walk.block(e.Body.List, consumed)
 			return false
 		case *ast.CallExpr:
 			name, isConsumer := leaseConsumerCall(ls.u, e)
@@ -210,11 +103,11 @@ func (ls *leaseScan) exprNode(n ast.Node, consumed map[string]*leaseConsume) {
 				return true
 			}
 			for _, arg := range e.Args {
-				ls.expr(arg, consumed)
+				ls.exprNode(arg, consumed)
 			}
 			for _, arg := range e.Args {
 				if key, isToken := ls.tokenKey(arg); isToken {
-					consumed[key] = &leaseConsume{by: name}
+					consumed[key] = name
 				}
 			}
 			return false
@@ -222,11 +115,11 @@ func (ls *leaseScan) exprNode(n ast.Node, consumed map[string]*leaseConsume) {
 			for _, elt := range e.Elts {
 				kv, isKV := elt.(*ast.KeyValueExpr)
 				if !isKV {
-					ls.expr(elt, consumed)
+					ls.exprNode(elt, consumed)
 					continue
 				}
 				keyIdent, isIdent := kv.Key.(*ast.Ident)
-				ls.expr(kv.Value, consumed)
+				ls.exprNode(kv.Value, consumed)
 				if _, isToken := ls.tokenKey(kv.Value); isToken {
 					if !isIdent || keyIdent.Name != "LeaseID" {
 						ls.w.Reportf(kv.Pos(),
@@ -235,20 +128,13 @@ func (ls *leaseScan) exprNode(n ast.Node, consumed map[string]*leaseConsume) {
 				}
 			}
 			return false
-		case *ast.SelectorExpr:
-			if key, isToken := ls.tokenKey(e); isToken {
-				if c := consumed[key]; c != nil {
+		case *ast.SelectorExpr, *ast.Ident:
+			if key, isToken := ls.tokenKey(e.(ast.Expr)); isToken {
+				if by, dead := consumed[key]; dead {
 					ls.w.Reportf(e.Pos(),
-						"lease token %s used after being consumed by %s; leases are single-use — the queue will reject this as a stale lease", key, c.by)
+						"lease token %s used after being consumed by %s; leases are single-use — the queue will reject this as a stale lease", key, by)
 				}
 				return false
-			}
-		case *ast.Ident:
-			if key, isToken := ls.tokenKey(e); isToken {
-				if c := consumed[key]; c != nil {
-					ls.w.Reportf(e.Pos(),
-						"lease token %s used after being consumed by %s; leases are single-use — the queue will reject this as a stale lease", key, c.by)
-				}
 			}
 		}
 		return true
@@ -281,7 +167,7 @@ func (ls *leaseScan) tokenKey(e ast.Expr) (string, bool) {
 // leaseConsumerCall reports whether a call consumes a lease token: a
 // method named Complete or Fail on a type declared in a package named
 // "queue". Extend deliberately is not a consumer — it renews the lease.
-func leaseConsumerCall(u *flow.Unit, call *ast.CallExpr) (string, bool) {
+func leaseConsumerCall(u *Package, call *ast.CallExpr) (string, bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", false
@@ -297,47 +183,5 @@ func leaseConsumerCall(u *flow.Unit, call *ast.CallExpr) (string, bool) {
 	if recv == nil || recv.Obj().Pkg() == nil || recv.Obj().Pkg().Name() != "queue" {
 		return "", false
 	}
-	return typeShortName(recv) + "." + obj.Name(), true
-}
-
-func typeShortName(n *types.Named) string {
-	return n.Obj().Name()
-}
-
-// terminates reports whether a statement list cannot fall through: its
-// last statement returns, branches away, or panics. Nested if/else and
-// blocks are checked recursively.
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	return stmtTerminates(list[len(list)-1])
-}
-
-func stmtTerminates(st ast.Stmt) bool {
-	switch s := st.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, isCall := s.X.(*ast.CallExpr); isCall {
-			if id, isIdent := call.Fun.(*ast.Ident); isIdent && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	case *ast.IfStmt:
-		if s.Else == nil {
-			return false
-		}
-		elseTerm := false
-		switch e := s.Else.(type) {
-		case *ast.BlockStmt:
-			elseTerm = terminates(e.List)
-		case *ast.IfStmt:
-			elseTerm = stmtTerminates(e)
-		}
-		return elseTerm && terminates(s.Body.List)
-	}
-	return false
+	return recv.Obj().Name() + "." + obj.Name(), true
 }

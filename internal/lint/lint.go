@@ -1,7 +1,7 @@
 // Package lint is pdsplint's analysis framework: a stdlib-only
-// (go/ast, go/parser, go/token, go/types) static-analysis harness with
-// composable analyzers, per-directory policy configuration, and
-// //lint:ignore suppression.
+// (go/ast, go/parser, go/token, go/types) static-analysis harness whose
+// rules all run over one whole-program pass, each scoped to the
+// directories it guards, with //lint:ignore suppression.
 //
 // The rules it ships exist to machine-check the properties PDSP-Bench's
 // reproducibility story depends on: the discrete-event simulation must
@@ -13,10 +13,9 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
+	"strings"
 
 	"pdspbench/internal/lint/flow"
 )
@@ -34,68 +33,16 @@ func (d Diagnostic) String() string {
 }
 
 // Package is one loaded, type-checked package.
-type Package struct {
-	// Path is the import path (module path + relative directory).
-	Path string
-	// Dir is the package directory relative to the module root, using
-	// forward slashes; policy scoping matches against it.
-	Dir string
-	// Fset positions all Files.
-	Fset *token.FileSet
-	// Files are the parsed non-test sources.
-	Files []*ast.File
-	// Types is the checked package; Info carries uses/defs/types.
-	Types *types.Package
-	Info  *types.Info
-	// TypeErrors collects soft type-check problems; analyzers still run
-	// because most rules are syntactic, but the runner reports them.
-	TypeErrors []error
-}
+type Package = flow.Unit
 
-// Pass is the per-(analyzer, package) invocation context.
-type Pass struct {
-	Pkg    *Package
-	Config *Config
-	report func(rule string, pos token.Pos, format string, args ...any)
-	rule   string
-}
-
-// Reportf records a diagnostic at pos for the pass's rule.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(p.rule, pos, format, args...)
-}
-
-// TypeOf returns the type of e, or nil when type information is absent
-// (analyzers must tolerate nil: fixtures and damaged packages may have
-// holes).
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.Pkg.Info == nil {
-		return nil
-	}
-	return p.Pkg.Info.TypeOf(e)
-}
-
-// ObjectOf resolves an identifier to its object, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if p.Pkg.Info == nil {
-		return nil
-	}
-	if o := p.Pkg.Info.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
-}
-
-// WholePass is the invocation context of a whole-program analyzer: one
-// call sees every loaded package plus the shared flow.Program (call
-// graph + fact store), built once per Runner.Run and shared by all
-// whole-program rules.
+// WholePass is the invocation context of one rule: every loaded package
+// plus the shared flow.Program (call graph + fact store), built once per
+// Runner.Run and shared by all rules.
 type WholePass struct {
 	// Pkgs are all loaded packages, in dependency order.
 	Pkgs []*Package
 	// Program is the shared call graph over Pkgs.
 	Program *flow.Program
-	Config  *Config
 
 	analyzer  *Analyzer
 	fset      *token.FileSet
@@ -103,16 +50,31 @@ type WholePass struct {
 	report    func(rule string, pos token.Pos, format string, args ...any)
 }
 
-// Fset positions the whole program (whole-program analysis requires all
-// packages to come from one Loader, hence one FileSet).
+// Fset positions the whole program (all packages come from one Loader,
+// hence one FileSet).
 func (w *WholePass) Fset() *token.FileSet { return w.fset }
 
+// InScope reports whether pkg lies inside the rule's directory scope.
+func (w *WholePass) InScope(pkg *Package) bool { return w.analyzer.Applies(pkg.Dir) }
+
+// Scoped returns the loaded packages inside the rule's directory scope:
+// the ones a package-local check needs to walk.
+func (w *WholePass) Scoped() []*Package {
+	var out []*Package
+	for _, pkg := range w.Pkgs {
+		if w.InScope(pkg) {
+			out = append(out, pkg)
+		}
+	}
+	return out
+}
+
 // Reportf records a diagnostic. Findings whose position falls outside
-// the rule's directory scope are dropped, so a whole-program rule may
-// analyse everything while reporting only inside its policy scope.
+// the rule's directory scope are dropped, so a rule may analyse the
+// whole program while reporting only inside its scope.
 func (w *WholePass) Reportf(pos token.Pos, format string, args ...any) {
 	pkg := w.pkgByFile[w.fset.Position(pos).Filename]
-	if pkg == nil || !w.Config.Applies(w.analyzer, pkg.Dir) {
+	if pkg == nil || !w.InScope(pkg) {
 		return
 	}
 	w.report(w.analyzer.Name, pos, format, args...)
@@ -120,30 +82,43 @@ func (w *WholePass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzer is one named rule.
 type Analyzer struct {
-	// Name is the rule identifier used in diagnostics, policy config and
-	// //lint:ignore directives (kebab-case).
+	// Name is the rule identifier used in diagnostics and //lint:ignore
+	// directives (kebab-case).
 	Name string
 	// Doc is a one-paragraph description shown by `pdsplint -list`.
 	Doc string
-	// DefaultDirs restricts the rule to packages whose Dir has one of
-	// these slash-separated prefixes; nil means the whole module. The
-	// policy config can override per rule. For whole-program rules the
-	// scope filters where diagnostics may land, not what is analysed.
-	DefaultDirs []string
-	// Run inspects one package and reports diagnostics. Exactly one of
-	// Run and RunWhole is set.
-	Run func(*Pass)
-	// RunWhole inspects the whole loaded program at once; cross-package
-	// rules (call-graph reachability, lock ordering) use this form.
-	RunWhole func(*WholePass)
+	// Dirs restricts where the rule reports to packages whose Dir has
+	// one of these slash-separated prefixes; nil means the whole module.
+	Dirs []string
+	// Run inspects the loaded program and reports diagnostics.
+	Run func(*WholePass)
+}
+
+// Applies reports whether the rule's scope covers a package in dir
+// (module-relative, slash-separated).
+func (a *Analyzer) Applies(dir string) bool {
+	return len(a.Dirs) == 0 || underAny(dir, a.Dirs)
+}
+
+// underAny reports whether dir lies under one of the prefixes.
+func underAny(dir string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if dirHasPrefix(dir, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// dirHasPrefix reports whether dir equals prefix or is beneath it.
+func dirHasPrefix(dir, prefix string) bool {
+	return dir == prefix || strings.HasPrefix(dir, prefix+"/")
 }
 
 // Analyzers returns the full rule set in stable order.
 func Analyzers() []*Analyzer {
 	as := []*Analyzer{
 		SimDeterminism(),
-		GoroutineHygiene(),
-		LockDiscipline(),
 		ErrorDiscipline(),
 		MetricLabels(),
 		APIBoundary(),

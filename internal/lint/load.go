@@ -24,9 +24,6 @@ type Loader struct {
 	// ModulePath overrides the module path from go.mod (used by fixture
 	// tests, whose trees carry no go.mod).
 	ModulePath string
-	// IncludeTests parses _test.go files too. The shipped rules exempt
-	// tests, so the default is off.
-	IncludeTests bool
 
 	fset *token.FileSet
 }
@@ -171,7 +168,7 @@ func (l *Loader) parseDir(dir string, parsed map[string]*Package, order *[]strin
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
@@ -183,8 +180,8 @@ func (l *Loader) parseDir(dir string, parsed map[string]*Package, order *[]strin
 	if len(pkg.Files) == 0 {
 		return nil
 	}
-	// Split out external test packages (package foo_test) if tests were
-	// requested; keeping them would break the type checker.
+	// Keep only the files of the first package clause seen: a stray file
+	// declaring another package would break the type checker.
 	base := pkg.Files[0].Name.Name
 	var kept []*ast.File
 	for _, f := range pkg.Files {

@@ -4,25 +4,31 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"pdspbench/internal/lint/flow"
 )
 
-// LockOrder builds a cross-package mutex acquisition-order graph and
-// reports edges that participate in a cycle: if one code path acquires
-// A before B and another acquires B before A, two goroutines can each
-// hold one lock and wait forever for the other. The rule also pins the
-// documented internal/storage contract — Store.mu is the fabric's leaf
-// lock, so nothing may be acquired while holding it.
+// LockOrder checks the mutex protocol end to end. Per function: a sync
+// primitive copied by value guards nothing, and a Lock with no matching
+// Unlock in the same function is a latent deadlock under contention.
+// Across packages: it builds a mutex acquisition-order graph and reports
+// edges that participate in a cycle — if one code path acquires A
+// before B and another acquires B before A, two goroutines can each hold
+// one lock and wait forever for the other. It also pins the documented
+// internal/storage contract: Store.mu is the fabric's leaf lock, so
+// nothing may be acquired while holding it.
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lock-order",
-		Doc: "Cross-package sync.Mutex/RWMutex acquisition order must be acyclic. The rule " +
-			"tracks held locks through static call chains (e.g. internal/queue holding " +
-			"Queue.mu while calling into internal/storage) and reports every acquisition " +
-			"edge that closes a cycle, plus any lock acquired while holding the leaf lock " +
-			"internal/storage Store.mu.",
-		RunWhole: runLockOrder,
+		Doc: "sync.Mutex/RWMutex/WaitGroup/Once/Cond must not be passed or copied by value, " +
+			"and every Lock()/RLock() must have a matching (usually deferred) Unlock in the " +
+			"same function. Cross-package sync.Mutex/RWMutex acquisition order must be " +
+			"acyclic: the rule tracks held locks through static call chains (e.g. " +
+			"internal/queue holding Queue.mu while calling into internal/storage) and " +
+			"reports every acquisition edge that closes a cycle, plus any lock acquired " +
+			"while holding the leaf lock internal/storage Store.mu.",
+		Run: runLockOrder,
 	}
 }
 
@@ -37,12 +43,21 @@ type lockEdge struct {
 }
 
 func runLockOrder(w *WholePass) {
+	for _, pkg := range w.Scoped() {
+		for _, f := range pkg.Files {
+			checkLockCopies(w, pkg, f)
+			walkFunctions(f, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
+				checkLockPairs(w, pkg, body)
+			})
+		}
+	}
+
 	var edges []lockEdge
 	seen := make(map[[2]string]bool)
 	acq := lockAcquires(w.Program)
 	for _, fn := range w.Program.All() {
 		lw := &lockWalker{
-			fn:   fn,
+			u:    fn.Unit,
 			prog: w.Program,
 			acq:  acq,
 			emit: func(from, to string, pos token.Pos) {
@@ -54,7 +69,8 @@ func runLockOrder(w *WholePass) {
 				edges = append(edges, lockEdge{from: from, to: to, pos: pos})
 			},
 		}
-		lw.block(fn.Decl.Body.List, nil)
+		lw.walk = pathWalk[int]{visit: lw.visit}
+		lw.walk.block(fn.Decl.Body.List, map[string]int{})
 	}
 
 	adjacency := make(map[string][]string)
@@ -131,171 +147,89 @@ func lockAcquires(prog *flow.Program) map[*flow.Func]map[string]bool {
 	}).(map[*flow.Func]map[string]bool)
 }
 
-// lockWalker scans one function in statement order, maintaining the set
-// of held lock classes. Branch bodies run on a copy of the held set and
-// do not leak acquisitions past the branch — conservative in the
-// may-miss direction, never inventing a held lock.
+// lockWalker scans one function in statement order, keeping a count of
+// each lock class held on the current path. Branch bodies run on a copy
+// of the held set and never leak acquisitions past the branch —
+// conservative in the may-miss direction, never inventing a held lock.
 type lockWalker struct {
-	fn   *flow.Func
+	u    *Package
 	prog *flow.Program
 	acq  map[*flow.Func]map[string]bool
 	emit func(from, to string, pos token.Pos)
+	walk pathWalk[int]
 }
 
-func (lw *lockWalker) block(list []ast.Stmt, held []string) []string {
-	for _, st := range list {
-		held = lw.stmt(st, held)
-	}
-	return held
-}
-
-func copyHeld(held []string) []string {
-	return append([]string(nil), held...)
-}
-
-func (lw *lockWalker) acquire(held []string, class string, pos token.Pos) []string {
-	for _, h := range held {
-		if h != class {
-			lw.emit(h, class, pos)
-		}
-	}
-	return append(copyHeld(held), class)
-}
-
-func (lw *lockWalker) release(held []string, class string) []string {
-	for i := len(held) - 1; i >= 0; i-- {
-		if held[i] == class {
-			out := copyHeld(held[:i])
-			return append(out, held[i+1:]...)
-		}
-	}
-	return held
-}
-
-func (lw *lockWalker) stmt(st ast.Stmt, held []string) []string {
-	switch s := st.(type) {
+func (lw *lockWalker) visit(n ast.Node, held map[string]int) {
+	switch s := n.(type) {
 	case *ast.ExprStmt:
 		if call, isCall := s.X.(*ast.CallExpr); isCall {
-			if class, op := lockOp(lw.fn.Unit, call); op != lockNone {
-				if class == "" {
-					return held
+			if class, op := lockOp(lw.u, call); op != lockNone {
+				switch {
+				case class == "":
+				case op == lockAcquire:
+					lw.edgesTo(held, class, call.Pos())
+					held[class]++
+				case held[class] > 1:
+					held[class]--
+				default:
+					delete(held, class)
 				}
-				if op == lockAcquire {
-					return lw.acquire(held, class, call.Pos())
-				}
-				return lw.release(held, class)
+				return
 			}
 		}
-		lw.calls(s.X, held)
 	case *ast.DeferStmt:
-		if class, op := lockOp(lw.fn.Unit, s.Call); op != lockNone {
-			if op == lockAcquire && class != "" {
-				return lw.acquire(held, class, s.Call.Pos())
-			}
+		if class, op := lockOp(lw.u, s.Call); op != lockNone {
 			// Deferred unlock releases at function exit: the lock stays
 			// held for every statement below, which is exactly how the
 			// ordering must be computed.
-			return held
+			if op == lockAcquire && class != "" {
+				lw.edgesTo(held, class, s.Call.Pos())
+				held[class]++
+			}
+			return
 		}
-		lw.calls(s.Call, held)
 	case *ast.GoStmt:
 		// A spawned goroutine starts with an empty held set; its
 		// arguments are evaluated in the current one.
 		if lit, isLit := s.Call.Fun.(*ast.FuncLit); isLit {
-			lw.block(lit.Body.List, nil)
+			lw.walk.block(lit.Body.List, map[string]int{})
 		}
 		for _, arg := range s.Call.Args {
 			lw.calls(arg, held)
 		}
-	case *ast.BlockStmt:
-		return lw.block(s.List, held)
-	case *ast.LabeledStmt:
-		return lw.stmt(s.Stmt, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held = lw.stmt(s.Init, held)
-		}
-		lw.calls(s.Cond, held)
-		lw.block(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			lw.stmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held = lw.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			lw.calls(s.Cond, held)
-		}
-		lw.block(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		lw.calls(s.X, held)
-		lw.block(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held = lw.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			lw.calls(s.Tag, held)
-		}
-		lw.clauses(s.Body, held)
-	case *ast.TypeSwitchStmt:
-		lw.clauses(s.Body, held)
-	case *ast.SelectStmt:
-		lw.clauses(s.Body, held)
-	default:
-		lw.calls(st, held)
+		return
 	}
-	return held
+	lw.calls(n, held)
 }
 
-func (lw *lockWalker) clauses(body *ast.BlockStmt, held []string) {
-	for _, clause := range body.List {
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			lw.block(c.Body, copyHeld(held))
-		case *ast.CommClause:
-			lw.block(c.Body, copyHeld(held))
+// edgesTo emits an order edge from every held class to class.
+func (lw *lockWalker) edgesTo(held map[string]int, class string, pos token.Pos) {
+	for h := range held {
+		if h != class {
+			lw.emit(h, class, pos)
 		}
 	}
 }
 
 // calls emits edges for every statically resolved call in n using the
-// callee's transitive acquire set, and scans function literals with the
-// current held set (a closure invoked here runs in this frame).
-func (lw *lockWalker) calls(n ast.Node, held []string) {
-	if n == nil {
-		return
-	}
+// callee's transitive acquire set, and scans function literals with a
+// copy of the held set (a closure invoked here runs in this frame).
+func (lw *lockWalker) calls(n ast.Node, held map[string]int) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch e := x.(type) {
 		case *ast.FuncLit:
-			lw.block(e.Body.List, copyHeld(held))
+			lw.walk.block(e.Body.List, maps.Clone(held))
 			return false
 		case *ast.CallExpr:
-			if class, op := lockOp(lw.fn.Unit, e); op != lockNone {
+			if class, op := lockOp(lw.u, e); op != lockNone {
 				if op == lockAcquire && class != "" {
-					for _, h := range held {
-						if h != class {
-							lw.emit(h, class, e.Pos())
-						}
-					}
+					lw.edgesTo(held, class, e.Pos())
 				}
 				return true
 			}
-			obj := flow.CalleeOf(lw.fn.Unit, e)
-			if obj == nil {
-				return true
-			}
-			callee := lw.prog.FuncOf(obj)
-			if callee == nil {
-				return true
-			}
-			for class := range lw.acq[callee] {
-				for _, h := range held {
-					if h != class {
-						lw.emit(h, class, e.Pos())
-					}
+			if obj := flow.CalleeOf(lw.u, e); obj != nil {
+				for class := range lw.acq[lw.prog.FuncOf(obj)] {
+					lw.edgesTo(held, class, e.Pos())
 				}
 			}
 		}
@@ -314,7 +248,7 @@ const (
 // lockOp classifies a call as a mutex acquire/release and names the
 // lock class it operates on ("" when the class is untrackable, e.g. a
 // local mutex variable).
-func lockOp(u *flow.Unit, call *ast.CallExpr) (string, lockOpKind) {
+func lockOp(u *Package, call *ast.CallExpr) (string, lockOpKind) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", lockNone
@@ -347,7 +281,7 @@ func lockOp(u *flow.Unit, call *ast.CallExpr) (string, lockOpKind) {
 // mutexes, "pkgpath.var" for package-level mutexes, and
 // "pkgpath.Type.(embedded)" for types embedding a mutex. Local mutex
 // variables have no cross-function identity and return "".
-func lockClass(u *flow.Unit, e ast.Expr) string {
+func lockClass(u *Package, e ast.Expr) string {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		v, isVar := u.ObjectOf(x.Sel).(*types.Var)
@@ -384,27 +318,113 @@ func packageVarClass(v *types.Var) string {
 	return ""
 }
 
-func namedOfType(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-func namedPkgPath(n *types.Named) string {
-	if n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path()
-}
-
 func qualifiedTypeName(n *types.Named) string {
 	if n.Obj().Pkg() == nil {
 		return n.Obj().Name()
 	}
 	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
+}
+
+// checkLockCopies flags by-value parameters/receivers whose type
+// contains a sync primitive, and assignments or call arguments that copy
+// an existing lock-containing value.
+func checkLockCopies(w *WholePass, u *Package, f *ast.File) {
+	checkFieldList := func(fl *ast.FieldList, what string) {
+		if fl == nil {
+			return
+		}
+		for _, field := range fl.List {
+			t := u.TypeOf(field.Type)
+			if t == nil {
+				continue
+			}
+			if _, isPtr := t.(*types.Pointer); isPtr {
+				continue
+			}
+			if lock := containsLock(t); lock != "" {
+				w.Reportf(field.Type.Pos(), "%s passes %s by value; the copy guards nothing — use a pointer", what, lock)
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.FuncDecl:
+			checkFieldList(s.Recv, "receiver")
+			checkFieldList(s.Type.Params, "parameter")
+		case *ast.FuncLit:
+			checkFieldList(s.Type.Params, "parameter")
+		case *ast.AssignStmt:
+			for _, rhs := range s.Rhs {
+				if copiesLockValue(u, rhs) {
+					w.Reportf(rhs.Pos(), "assignment copies a value containing %s; use a pointer", containsLock(u.TypeOf(rhs)))
+				}
+			}
+		case *ast.CallExpr:
+			for _, arg := range s.Args {
+				if copiesLockValue(u, arg) {
+					w.Reportf(arg.Pos(), "call passes a value containing %s by value; use a pointer", containsLock(u.TypeOf(arg)))
+				}
+			}
+		}
+		return true
+	})
+}
+
+// copiesLockValue reports whether evaluating expr copies an existing
+// value whose type contains a sync primitive. Creation forms (composite
+// literals, constructor calls) and pointers are fine; reads of existing
+// variables (idents, selectors, derefs, indexing) are copies.
+func copiesLockValue(u *Package, expr ast.Expr) bool {
+	switch e := expr.(type) {
+	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
+		t := u.TypeOf(expr)
+		if t == nil {
+			return false
+		}
+		if _, isPtr := t.(*types.Pointer); isPtr {
+			return false
+		}
+		if id, isID := e.(*ast.Ident); isID {
+			// A bare type name or nil is not a value copy.
+			if _, isVar := u.ObjectOf(id).(*types.Var); !isVar {
+				return false
+			}
+		}
+		return containsLock(t) != ""
+	}
+	return false
+}
+
+// lockMethods maps a locking method to its required counterpart.
+var lockMethods = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
+
+// checkLockPairs requires every mutex Lock/RLock in a function to be
+// followed by its Unlock counterpart (deferred or direct) on the same
+// lock expression within that function.
+func checkLockPairs(w *WholePass, u *Package, body *ast.BlockStmt) {
+	var locks []*ast.CallExpr
+	released := map[string]bool{} // "lockee.Method" for every other method called
+	inspectShallow(body, func(n ast.Node) bool {
+		call, isCall := n.(*ast.CallExpr)
+		if !isCall {
+			return true
+		}
+		recv, pkgPath, typeName, method, ok := methodCallOn(u, call)
+		if !ok || pkgPath != "sync" || (typeName != "Mutex" && typeName != "RWMutex") {
+			return true
+		}
+		if lockMethods[method] != "" {
+			locks = append(locks, call)
+		} else {
+			released[types.ExprString(recv)+"."+method] = true
+		}
+		return true
+	})
+	for _, call := range locks {
+		sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		lockee, want := types.ExprString(sel.X), lockMethods[sel.Sel.Name]
+		if !released[lockee+"."+want] {
+			w.Reportf(call.Pos(), "%s.%s() without a matching %s in the same function; defer %s.%s() after locking", lockee, sel.Sel.Name, want, lockee, want)
+		}
+	}
 }

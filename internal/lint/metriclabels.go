@@ -24,46 +24,53 @@ func MetricLabels() *Analyzer {
 	}
 }
 
-func runMetricLabels(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, isLit := n.(*ast.CompositeLit)
-			if !isLit {
-				return true
-			}
-			named := namedFigureType(p.TypeOf(lit))
-			if named == nil {
-				return true
-			}
-			registry := stringConsts(named.Obj().Pkg())
-			if len(registry) == 0 {
-				return true
-			}
-			for _, elt := range lit.Elts {
-				kv, isKV := elt.(*ast.KeyValueExpr)
-				if !isKV {
-					continue
-				}
-				key, isID := kv.Key.(*ast.Ident)
-				if !isID || key.Name != "ID" {
-					continue
-				}
-				basic, isBasic := kv.Value.(*ast.BasicLit)
-				if !isBasic {
-					continue // constants and variables resolve to the registry by construction
-				}
-				val, err := strconv.Unquote(basic.Value)
-				if err != nil {
-					continue
-				}
-				if _, ok := registry[val]; !ok {
-					p.Reportf(basic.Pos(), "figure ID %q is not declared in the %s registry; add a constant there or use one of: %s",
-						val, named.Obj().Pkg().Name(), strings.Join(registryNames(registry), ", "))
-				}
-			}
-			return true
-		})
+func runMetricLabels(w *WholePass) {
+	for _, pkg := range w.Scoped() {
+		for _, f := range pkg.Files {
+			checkFigureIDs(w, pkg, f)
+		}
 	}
+}
+
+// checkFigureIDs flags literal figure IDs outside the registry.
+func checkFigureIDs(w *WholePass, u *Package, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, isLit := n.(*ast.CompositeLit)
+		if !isLit {
+			return true
+		}
+		named := namedFigureType(u.TypeOf(lit))
+		if named == nil {
+			return true
+		}
+		registry := stringConsts(named.Obj().Pkg())
+		if len(registry) == 0 {
+			return true
+		}
+		for _, elt := range lit.Elts {
+			kv, isKV := elt.(*ast.KeyValueExpr)
+			if !isKV {
+				continue
+			}
+			key, isID := kv.Key.(*ast.Ident)
+			if !isID || key.Name != "ID" {
+				continue
+			}
+			basic, isBasic := kv.Value.(*ast.BasicLit)
+			if !isBasic {
+				continue // constants and variables resolve to the registry by construction
+			}
+			val, err := strconv.Unquote(basic.Value)
+			if err != nil {
+				continue
+			}
+			if _, ok := registry[val]; !ok {
+				w.Reportf(basic.Pos(), "figure ID %q is not declared in the %s registry; add a constant there or use one of: %s",
+					val, named.Obj().Pkg().Name(), strings.Join(registryNames(registry), ", "))
+			}
+		}
+		return true
+	})
 }
 
 // namedFigureType unwraps pointers and reports the named type when it is

@@ -23,7 +23,7 @@ func RecoverDiscipline() *Analyzer {
 			"used, and the recovering function must either re-panic or route the value into a " +
 			"typed error (construct or call something matching Error|Fault|Crash|Panic). Bare " +
 			"`recover()` statements and recoveries with no error path are reported.",
-		DefaultDirs: []string{
+		Dirs: []string{
 			"internal/engine", "internal/simengine", "internal/des",
 			"internal/backend", "internal/chaos",
 		},
@@ -31,30 +31,32 @@ func RecoverDiscipline() *Analyzer {
 	}
 }
 
-func runRecoverDiscipline(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		walkFunctions(f, func(fn ast.Node, body *ast.BlockStmt) {
-			checkRecovers(p, body)
-		})
+func runRecoverDiscipline(w *WholePass) {
+	for _, pkg := range w.Scoped() {
+		for _, f := range pkg.Files {
+			walkFunctions(f, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
+				checkRecovers(w, pkg, body)
+			})
+		}
 	}
 }
 
 // checkRecovers inspects one function body (not nested literals — each
 // literal is its own recovery scope) for recover() misuse.
-func checkRecovers(p *Pass, body *ast.BlockStmt) {
+func checkRecovers(w *WholePass, u *Package, body *ast.BlockStmt) {
 	var recovers []*ast.CallExpr
 	discarded := map[*ast.CallExpr]bool{}
 	inspectShallow(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.ExprStmt:
-			if call, isCall := s.X.(*ast.CallExpr); isCall && isBuiltinCall(p, call, "recover") {
+			if call, isCall := s.X.(*ast.CallExpr); isCall && isBuiltinCall(u, call, "recover") {
 				discarded[call] = true
 			}
 		case *ast.AssignStmt:
 			// `_ = recover()` discards the value just as silently.
 			for i, rhs := range s.Rhs {
 				call, isCall := rhs.(*ast.CallExpr)
-				if !isCall || !isBuiltinCall(p, call, "recover") || i >= len(s.Lhs) {
+				if !isCall || !isBuiltinCall(u, call, "recover") || i >= len(s.Lhs) {
 					continue
 				}
 				if id, isID := s.Lhs[i].(*ast.Ident); isID && id.Name == "_" {
@@ -62,7 +64,7 @@ func checkRecovers(p *Pass, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.CallExpr:
-			if isBuiltinCall(p, s, "recover") {
+			if isBuiltinCall(u, s, "recover") {
 				recovers = append(recovers, s)
 			}
 		}
@@ -73,14 +75,14 @@ func checkRecovers(p *Pass, body *ast.BlockStmt) {
 	}
 	for _, call := range recovers {
 		if discarded[call] {
-			p.Reportf(call.Pos(), "recover() result discarded; a swallowed panic hides crashes — re-panic or wrap it in a typed error")
+			w.Reportf(call.Pos(), "recover() result discarded; a swallowed panic hides crashes — re-panic or wrap it in a typed error")
 		}
 	}
 	if len(discarded) == len(recovers) {
 		return
 	}
-	if !hasFaultRoute(p, body) {
-		p.Reportf(recovers[0].Pos(), "recover() without an error path; the recovering function must re-panic or route the value into a typed error (Error/Fault/Crash/Panic)")
+	if !hasFaultRoute(u, body) {
+		w.Reportf(recovers[0].Pos(), "recover() without an error path; the recovering function must re-panic or route the value into a typed error (Error/Fault/Crash/Panic)")
 	}
 }
 
@@ -88,7 +90,7 @@ func checkRecovers(p *Pass, body *ast.BlockStmt) {
 // the typed-error machinery: a panic() call, a call to a function whose
 // name matches the fault-route pattern, or a composite literal of such
 // a type.
-func hasFaultRoute(p *Pass, body *ast.BlockStmt) bool {
+func hasFaultRoute(u *Package, body *ast.BlockStmt) bool {
 	found := false
 	inspectShallow(body, func(n ast.Node) bool {
 		if found {
@@ -96,7 +98,7 @@ func hasFaultRoute(p *Pass, body *ast.BlockStmt) bool {
 		}
 		switch s := n.(type) {
 		case *ast.CallExpr:
-			if isBuiltinCall(p, s, "panic") {
+			if isBuiltinCall(u, s, "panic") {
 				found = true
 				return false
 			}

@@ -9,21 +9,18 @@ import (
 	"pdspbench/internal/lint/flow"
 )
 
-// RuleTiming is one analyzer's wall-clock cost over a Run, summed across
-// packages for per-package rules.
+// RuleTiming is one analyzer's wall-clock cost over a Run.
 type RuleTiming struct {
-	Rule     string        `json:"rule"`
-	Duration time.Duration `json:"-"`
+	Rule     string
+	Duration time.Duration
 }
 
-// Runner applies analyzers to loaded packages under a policy. The four
-// whole-program rules share one flow.Program (call graph + fact store)
-// built lazily from the same type-check pass the per-package rules use.
+// Runner applies analyzers to loaded packages. Every rule runs over one
+// shared flow.Program (call graph + fact store) built from the loaded
+// packages' type-check pass.
 type Runner struct {
 	// Analyzers defaults to Analyzers().
 	Analyzers []*Analyzer
-	// Config defaults to the built-in policy (each rule's DefaultDirs).
-	Config *Config
 	// ReportUnusedIgnores adds a diagnostic for every //lint:ignore that
 	// suppressed nothing. Enabled by the CLI (full rule set), disabled by
 	// single-rule fixture runs where most directives are out of scope.
@@ -49,110 +46,56 @@ func (r *Runner) Timings() []RuleTiming {
 	return out
 }
 
-// Run analyzes the packages and returns findings sorted by position.
-// Suppressed findings are dropped; malformed or stale //lint:ignore
-// directives are themselves findings.
+// Run analyzes the packages, which must come from one Loader, and
+// returns findings sorted by position. Suppressed findings are dropped;
+// malformed or stale //lint:ignore directives are themselves findings.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	analyzers := r.Analyzers
 	if analyzers == nil {
 		analyzers = Analyzers()
 	}
-	r.timings = make(map[string]time.Duration, len(analyzers))
-	var raw []Diagnostic
-	reportFor := func(fset *token.FileSet) func(rule string, pos token.Pos, format string, args ...any) {
-		return func(rule string, pos token.Pos, format string, args ...any) {
-			raw = append(raw, Diagnostic{
-				Pos:     fset.Position(pos),
-				Rule:    rule,
-				Message: fmt.Sprintf(format, args...),
-			})
-		}
+	r.timings = make(map[string]time.Duration, len(analyzers)+1)
+	if len(pkgs) == 0 {
+		return nil
 	}
-
-	// Suppression directives, collected across the whole load so a
-	// whole-program rule's finding in any package meets that package's
-	// //lint:ignore lines.
-	ignores := make(map[string]*ignoreSet, len(pkgs)) // by filename-owning package
+	fset := pkgs[0].Fset
+	var raw []Diagnostic
+	report := func(rule string, pos token.Pos, format string, args ...any) {
+		raw = append(raw, Diagnostic{Pos: fset.Position(pos), Rule: rule, Message: fmt.Sprintf(format, args...)})
+	}
+	ignores := collectIgnores(pkgs, report)
 	byFile := make(map[string]*Package)
 	for _, pkg := range pkgs {
-		set := collectIgnores(pkg, reportFor(pkg.Fset))
-		ignores[pkg.Path] = set
 		for _, f := range pkg.Files {
-			byFile[pkg.Fset.Position(f.Pos()).Filename] = pkg
+			byFile[fset.Position(f.Pos()).Filename] = pkg
 		}
 	}
 
-	// Per-package rules.
-	for _, pkg := range pkgs {
-		report := reportFor(pkg.Fset)
-		for _, a := range analyzers {
-			if a.Run == nil || !r.Config.Applies(a, pkg.Dir) {
-				continue
-			}
-			pass := &Pass{Pkg: pkg, Config: r.Config, report: report, rule: a.Name}
-			start := time.Now()
-			a.Run(pass)
-			r.timings[a.Name] += time.Since(start)
-		}
-	}
-
-	// Whole-program rules share one flow.Program built from the same
-	// type-checked packages.
-	var wholes []*Analyzer
-	for _, a := range analyzers {
-		if a.RunWhole == nil {
-			continue
-		}
-		for _, pkg := range pkgs {
-			if r.Config.Applies(a, pkg.Dir) {
-				wholes = append(wholes, a)
-				break
-			}
-		}
-	}
-	if len(wholes) > 0 && len(pkgs) > 0 {
+	if len(analyzers) > 0 {
 		start := time.Now()
-		prog := buildProgram(pkgs)
+		prog := flow.Build(pkgs)
 		r.timings["(flow-graph)"] = time.Since(start)
-		fset := pkgs[0].Fset
-		report := reportFor(fset)
-		for _, a := range wholes {
-			wp := &WholePass{
-				Pkgs:      pkgs,
-				Program:   prog,
-				Config:    r.Config,
-				analyzer:  a,
-				fset:      fset,
-				pkgByFile: byFile,
-				report:    report,
-			}
+		for _, a := range analyzers {
+			wp := &WholePass{Pkgs: pkgs, Program: prog, analyzer: a, fset: fset, pkgByFile: byFile, report: report}
 			start := time.Now()
-			a.RunWhole(wp)
+			a.Run(wp)
 			r.timings[a.Name] += time.Since(start)
 		}
 	}
 
-	// Apply suppressions; a diagnostic meets the directives of the
-	// package its file belongs to.
 	var kept []Diagnostic
 	for _, d := range raw {
-		if d.Rule != "lint-directive" {
-			if pkg := byFile[d.Pos.Filename]; pkg != nil && ignores[pkg.Path].suppressed(d.Rule, d.Pos) {
-				continue
-			}
+		if d.Rule == "lint-directive" || !ignores.suppressed(d.Rule, d.Pos) {
+			kept = append(kept, d)
 		}
-		kept = append(kept, d)
 	}
 	if r.ReportUnusedIgnores {
-		for _, pkg := range pkgs {
-			set := ignores[pkg.Path]
-			for _, d := range set.unused() {
-				kept = append(kept, Diagnostic{
-					Pos:     pkg.Fset.Position(d.pos),
-					Rule:    "lint-directive",
-					Message: fmt.Sprintf("lint:ignore %s suppresses nothing; remove it", d.rule),
-				})
-			}
+		for _, d := range ignores.unused() {
+			kept = append(kept, Diagnostic{
+				Pos:     d.pos,
+				Rule:    "lint-directive",
+				Message: fmt.Sprintf("lint:ignore %s suppresses nothing; remove it", d.rule),
+			})
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool {
@@ -169,21 +112,4 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 		return kept[i].Rule < kept[j].Rule
 	})
 	return kept
-}
-
-// buildProgram converts the loaded packages into flow units and builds
-// the shared call graph.
-func buildProgram(pkgs []*Package) *flow.Program {
-	units := make([]*flow.Unit, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		units = append(units, &flow.Unit{
-			Path:  pkg.Path,
-			Dir:   pkg.Dir,
-			Fset:  pkg.Fset,
-			Files: pkg.Files,
-			Pkg:   pkg.Types,
-			Info:  pkg.Info,
-		})
-	}
-	return flow.Build(units)
 }

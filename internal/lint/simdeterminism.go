@@ -34,39 +34,39 @@ func SimDeterminism() *Analyzer {
 			"range-over-map feeding a returned slice (sort before returning). internal/stream is in " +
 			"scope because its generators — including the disordered-delivery wrapper — must replay " +
 			"identically from a seed for the parity suite and checkpoint resume to hold.",
-		DefaultDirs: []string{"internal/des", "internal/simengine", "internal/workload", "internal/stream"},
-		Run:         runSimDeterminism,
+		Dirs: []string{"internal/des", "internal/simengine", "internal/workload", "internal/stream"},
+		Run:  runSimDeterminism,
 	}
 }
 
-func runSimDeterminism(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, isCall := n.(*ast.CallExpr)
-			if !isCall {
+func runSimDeterminism(w *WholePass) {
+	for _, pkg := range w.Scoped() {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, isCall := n.(*ast.CallExpr)
+				if !isCall {
+					return true
+				}
+				pkgPath, name, ok := pkgFuncCall(pkg, call)
+				switch {
+				case !ok:
+				case pkgPath == "time" && wallClockFuncs[name]:
+					w.Reportf(call.Pos(), "wall-clock time.%s in simulation code; use the virtual des clock", name)
+				case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !globalRandAllowed[name]:
+					w.Reportf(call.Pos(), "global rand.%s uses the shared random source; inject a seeded *rand.Rand", name)
+				}
 				return true
-			}
-			pkgPath, name, ok := pkgFuncCall(p, call)
-			if !ok {
-				return true
-			}
-			switch {
-			case pkgPath == "time" && wallClockFuncs[name]:
-				p.Reportf(call.Pos(), "wall-clock time.%s in simulation code; use the virtual des clock", name)
-			case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !globalRandAllowed[name]:
-				p.Reportf(call.Pos(), "global rand.%s uses the shared random source; inject a seeded *rand.Rand", name)
-			}
-			return true
-		})
-		walkFunctions(f, func(fn ast.Node, body *ast.BlockStmt) {
-			checkMapRangeReturns(p, body)
-		})
+			})
+			walkFunctions(f, func(_ *ast.FuncDecl, body *ast.BlockStmt) {
+				checkMapRangeReturns(w, pkg, body)
+			})
+		}
 	}
 }
 
 // checkMapRangeReturns flags `for k := range m { s = append(s, ...) }`
 // when s is later returned by the same function without being sorted.
-func checkMapRangeReturns(p *Pass, body *ast.BlockStmt) {
+func checkMapRangeReturns(w *WholePass, u *Package, body *ast.BlockStmt) {
 	// Objects appended to inside a map range, keyed by variable object.
 	appended := map[types.Object]*ast.RangeStmt{}
 	inspectShallow(body, func(n ast.Node) bool {
@@ -74,7 +74,7 @@ func checkMapRangeReturns(p *Pass, body *ast.BlockStmt) {
 		if !isRange {
 			return true
 		}
-		t := p.TypeOf(rng.X)
+		t := u.TypeOf(rng.X)
 		if t == nil {
 			return true
 		}
@@ -91,10 +91,10 @@ func checkMapRangeReturns(p *Pass, body *ast.BlockStmt) {
 				return true
 			}
 			call, isCall := asg.Rhs[0].(*ast.CallExpr)
-			if !isCall || !isBuiltinCall(p, call, "append") {
+			if !isCall || !isBuiltinCall(u, call, "append") {
 				return true
 			}
-			if obj := p.ObjectOf(lhs); obj != nil {
+			if obj := u.ObjectOf(lhs); obj != nil {
 				if _, dup := appended[obj]; !dup {
 					appended[obj] = rng
 				}
@@ -113,20 +113,20 @@ func checkMapRangeReturns(p *Pass, body *ast.BlockStmt) {
 		case *ast.ReturnStmt:
 			for _, res := range s.Results {
 				if id, isID := res.(*ast.Ident); isID {
-					if obj := p.ObjectOf(id); obj != nil {
+					if obj := u.ObjectOf(id); obj != nil {
 						returned[obj] = true
 					}
 				}
 			}
 		case *ast.CallExpr:
-			pkgPath, _, ok := pkgFuncCall(p, s)
+			pkgPath, _, ok := pkgFuncCall(u, s)
 			if !ok || (pkgPath != "sort" && pkgPath != "slices") {
 				return true
 			}
 			for _, arg := range s.Args {
 				ast.Inspect(arg, func(a ast.Node) bool {
 					if id, isID := a.(*ast.Ident); isID {
-						if obj := p.ObjectOf(id); obj != nil {
+						if obj := u.ObjectOf(id); obj != nil {
 							sorted[obj] = true
 						}
 					}
@@ -138,7 +138,7 @@ func checkMapRangeReturns(p *Pass, body *ast.BlockStmt) {
 	})
 	for obj, rng := range appended {
 		if returned[obj] && !sorted[obj] {
-			p.Reportf(rng.Pos(), "range over map feeds returned slice %q; map iteration order is nondeterministic — sort before returning", obj.Name())
+			w.Reportf(rng.Pos(), "range over map feeds returned slice %q; map iteration order is nondeterministic — sort before returning", obj.Name())
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package chans
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // CloseParam closes a channel it did not create: the caller may close
 // it too, and a double close panics.
@@ -36,9 +39,12 @@ func CloseInDeadBranch(done bool) {
 }
 
 // SpinForever launches a goroutine whose loop has no exit: no return,
-// no break, no ctx.Done() case — it can never be stopped.
-func SpinForever() {
+// no break, no ctx.Done() case — it can never be stopped, although the
+// WaitGroup tracks it.
+func SpinForever(wg *sync.WaitGroup) {
+	wg.Add(1)
 	go func() { // want `no cancellation path`
+		defer wg.Done()
 		for {
 			work()
 		}
@@ -46,8 +52,10 @@ func SpinForever() {
 }
 
 // SpinWithDone exits through ctx.Done — the canonical cancellable loop.
-func SpinWithDone(ctx context.Context) {
+func SpinWithDone(ctx context.Context, wg *sync.WaitGroup) {
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			select {
 			case <-ctx.Done():
@@ -60,8 +68,10 @@ func SpinWithDone(ctx context.Context) {
 }
 
 // SpinWithBreak exits via an unlabeled break binding to the loop.
-func SpinWithBreak(stop chan struct{}) {
+func SpinWithBreak(stop chan struct{}, wg *sync.WaitGroup) {
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			if _, open := <-stop; !open {
 				break
@@ -73,8 +83,10 @@ func SpinWithBreak(stop chan struct{}) {
 
 // RangeDrain consumes until the owner closes the channel; range exits
 // on close, so no cancellation path is demanded.
-func RangeDrain(ch <-chan int) {
+func RangeDrain(ch <-chan int, wg *sync.WaitGroup) {
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for v := range ch {
 			_ = v
 		}

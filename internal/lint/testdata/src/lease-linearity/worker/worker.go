@@ -24,6 +24,27 @@ func FailThenDone(c *queue.Client, j *queue.Job, failed bool) error {
 	return c.Complete(j.ID, j.LeaseID)
 }
 
+// MaybeComplete consumes in a branch that falls through, so the token
+// is dead on one path into the Extend below.
+func MaybeComplete(c *queue.Client, j *queue.Job, done bool) {
+	if done {
+		_ = c.Complete(j.ID, j.LeaseID)
+	}
+	_ = c.Extend(j.ID, j.LeaseID) // want `used after being consumed by Client\.Complete`
+}
+
+// FailInElse consumes in a terminating else branch; the path that
+// reaches the completion below still owns the token.
+func FailInElse(c *queue.Client, j *queue.Job, ok bool) error {
+	if ok {
+		_ = c.Extend(j.ID, j.LeaseID)
+	} else {
+		_ = c.Fail(j.ID, j.LeaseID, "boom")
+		return nil
+	}
+	return c.Complete(j.ID, j.LeaseID)
+}
+
 // TrackedLocal follows the token's linearity through a local variable.
 func TrackedLocal(c *queue.Client, j *queue.Job) {
 	token := j.LeaseID

@@ -195,15 +195,25 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// ListenAndServe serves until the context is cancelled.
+// ListenAndServe serves until the context is cancelled. The shutdown
+// watcher it starts is stopped and joined before it returns, whatever
+// made Serve return.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	srv := &http.Server{Addr: addr, Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
+	served := make(chan struct{})
+	var watcher sync.WaitGroup
+	watcher.Add(1)
 	go func() {
-		<-ctx.Done()
+		defer watcher.Done()
+		select {
+		case <-ctx.Done():
+		case <-served:
+			return
+		}
 		// Shutdown starts after ctx is already cancelled, so its deadline
 		// must come from a context detached from that cancellation — but
 		// WithoutCancel keeps the caller's values, unlike a fresh root.
@@ -213,7 +223,9 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		srv.Shutdown(shutdownCtx)
 	}()
 	err = srv.Serve(ln)
+	close(served)
 	s.Close()
+	watcher.Wait()
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

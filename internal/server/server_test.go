@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"pdspbench/internal/metrics"
 	"pdspbench/internal/storage"
@@ -186,5 +188,24 @@ func TestPlanEndpoint(t *testing.T) {
 	}
 	if w := get(t, s, "/api/plan?app=AD&structure=linear"); w.Code != http.StatusBadRequest {
 		t.Errorf("both app and structure: status %d", w.Code)
+	}
+}
+
+// TestListenAndServeReturnsOnCancel cancels a live listener and requires
+// ListenAndServe to return cleanly; the package's leak gate then fails
+// the run if its shutdown watcher outlived the call.
+func TestListenAndServeReturnsOnCancel(t *testing.T) {
+	s := testServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.ListenAndServe(ctx, "127.0.0.1:0") }()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ListenAndServe after cancel: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ListenAndServe did not return after its context was cancelled")
 	}
 }

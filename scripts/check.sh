@@ -1,16 +1,49 @@
 #!/usr/bin/env bash
 # check.sh — the pre-PR gate for this repo. Everything here must pass
-# before a change merges:
+# before a change merges, and every stage can fail:
 #
 #   1. go build      — compile everything first; nothing else is
 #                      meaningful on a broken tree
 #   2. go vet        — the stock correctness screens
-#   3. pdsplint      — this repo's own static guarantees: the v2
-#                      whole-program pass (ctx-propagation, lock-order,
-#                      lease-linearity, chan-discipline) plus the
-#                      original per-package rules; see DESIGN.md
-#                      "Static guarantees". Emits lint_report.json as a
-#                      machine-readable gate artifact.
+#   3. pdsplint      — this repo's own static guarantees (DESIGN.md
+#                      "Static guarantees"); emits lint_report.json as a
+#                      machine-readable gate artifact. Ten rules, each
+#                      one invariant over its directories:
+#        api-boundary        whole module: server, controller and CLI
+#                            reach the engines only through
+#                            internal/backend; only internal/backend
+#                            imports both engines; only server,
+#                            controller and cmd/pdspbench import
+#                            internal/queue
+#        chan-discipline     internal/{engine,queue,server,storage,storm},
+#                            cmd: every go statement is WaitGroup-tracked
+#                            and has a way out of an unbounded loop; only
+#                            a channel's owner closes it; no send after
+#                            close on a path
+#        ctx-propagation     internal/{queue,server,storage,storm}, cmd:
+#                            blocking code reachable from an entry point
+#                            takes a context.Context; no
+#                            context.Background/TODO below the entry layer
+#        error-discipline    whole module except package main: no call
+#                            statement drops an error result
+#        hotpath-alloc       internal/{engine,des,simengine,tuple,core,
+#                            stream}: no per-call allocators on the data
+#                            plane; no fmt or row boxing in kernel loops
+#        lease-linearity     internal/{queue,server}, cmd: a lease token
+#                            is dead after Complete/Fail and is never
+#                            stored where it outlives the lease
+#        lock-order          whole module: no lock copied by value, every
+#                            Lock has its Unlock, acquisition order is
+#                            acyclic, nothing is locked under Store.mu
+#        metric-label-consistency
+#                            whole module: figure IDs come from the
+#                            internal/metrics registry
+#        recover-discipline  internal/{engine,simengine,des,backend,
+#                            chaos}: recover() re-panics or becomes a
+#                            typed error
+#        sim-determinism     internal/{des,simengine,workload,stream}: no
+#                            wall clock, no global rand, no map order in
+#                            returned slices
 #   4. go test -race -short — every package under the race detector,
 #                      including the fabric's queue/server protocol
 #                      tests and the goroutine-leak TestMain gates.
@@ -20,9 +53,9 @@
 #   5. go test       — the full suite, race detector off, so the slow
 #                      shape tests still gate the merge
 #   6. fuzz smoke    — seconds per target to keep the harnesses honest
-#   7. bench compare — scripts/bench.sh --compare gates >10% throughput
-#                      regressions between the two newest same-machine
-#                      BENCH_*.json recordings
+#   7. perfbench smoke — the replay, campaign and serve workloads for
+#                      2 s each, built from this checkout; a run whose
+#                      output checks fail exits non-zero
 #   8. fabric smoke  — the distributed fabric through the built binary
 #   9. storm smoke   — a short seeded storm against a self-hosted
 #                      dispatcher: zero unexplained 5xx, per-tenant
@@ -31,7 +64,6 @@
 # Usage:
 #   scripts/check.sh           # the full gate
 #   scripts/check.sh --quick   # fail-fast inner loop: build + vet + pdsplint
-#   BENCH=1 scripts/check.sh   # full gate + substrate micro-benchmarks
 #
 # Every stage prints its wall time so gate latency regressions (the lint
 # budget is ~10s) are visible in CI logs, not just felt locally.
@@ -102,10 +134,17 @@ fuzz_smoke() {
 }
 stage "fuzz smoke (2s per target)" fuzz_smoke
 
-#   7. bench compare — throughput regression smoke over the recorded
-#      trajectory. Needs two BENCH_*.json files from the same machine to
-#      mean anything; with fewer than two it reports and passes.
-stage "bench.sh --compare" scripts/bench.sh --compare
+#   7. perfbench smoke — perfbench is the repo's benchmark (see
+#      perfbench/README.md); a short run of each workload checks that it
+#      still builds from this checkout and that its output checks pass.
+#      Build output and temporary stores go to .bench_build/.
+perfbench_smoke() {
+  local w
+  for w in replay campaign serve; do
+    bash perfbench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0 > /dev/null
+  done
+}
+stage "perfbench smoke (replay, campaign, serve; 2s each)" perfbench_smoke
 
 #   8. fabric smoke — the distributed campaign fabric exercised through
 #      the built binary: a dispatcher process, an HTTP-enqueued sharded
@@ -118,21 +157,11 @@ stage "scripts/fabric_smoke.sh" scripts/fabric_smoke.sh
 #      fidelity shrunk). --smoke fails the stage on any 5xx that is not
 #      a deliberate shed, on transport errors, and on per-tenant OK
 #      spread beyond --fair-tol: 429/503 are the front door working,
-#      anything else under load is a defect. --out - keeps the gate
-#      from minting BENCH_<n>.json entries.
+#      anything else under load is a defect.
 storm_smoke() {
   go run ./cmd/pdspbench storm \
-    --seed 7 --duration 2s --max 400 --smoke --fair-tol 0.25 --out -
+    --seed 7 --duration 2s --max 400 --smoke --fair-tol 0.25
 }
 stage "storm smoke (seeded saturation, fairness gate)" storm_smoke
-
-#  10. (opt-in) substrate micro-benchmarks — set BENCH=1 to run
-#      scripts/bench.sh after the gates and record a BENCH_<n>.json
-#      entry in the performance trajectory. Not part of the default
-#      gate: benchmark numbers are machine-dependent and noisy on
-#      shared CI hosts, so recording them is a deliberate act.
-if [ "${BENCH:-0}" = "1" ]; then
-  stage "scripts/bench.sh (BENCH=1)" scripts/bench.sh
-fi
 
 echo "check.sh: all gates passed"
