@@ -589,5 +589,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		return err
 	}
 	fmt.Printf("serving PDSP-Bench API on http://%s (store: %s)\n", *addr, *data)
-	return srv.ListenAndServe(ctx, *addr)
+	err = srv.ListenAndServe(ctx, *addr)
+	return errors.Join(err, st.Close())
 }

@@ -75,6 +75,7 @@ func cmdStorm(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
+		defer st.Close()
 		srv, err := server.New(st,
 			server.WithServing(server.ServingConfig{
 				Admission: server.AdmissionConfig{

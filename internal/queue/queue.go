@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -192,16 +193,29 @@ func defaultNowMS() int64 { return time.Since(monotonicStart).Milliseconds() }
 // safe for concurrent use; one mutex guards the whole state, and every
 // mutation is journaled to the store under the same critical section,
 // so the journal order is the state's serialization order.
+//
+// A job cycle (lease, extend, complete, fail, heartbeat, stats) costs
+// O(live jobs), never O(history): Lease walks only the pending index,
+// reaping walks only the leased index, and Snapshot reads counters.
+// apply, the fold that live journaling and replay share, is the only
+// code that moves a job between statuses, and it keeps the indexes and
+// counters in step. Only the listings walk every job.
 type Queue struct {
 	store *storage.Store
 	opts  Options
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
-	order   []string // job IDs in enqueue order
+	order   []string // job IDs in enqueue order, for the listings
+	pending []*Job   // pending jobs in Seq order
+	leased  []*Job   // leased jobs in Seq order
+	counts  map[string]*TenantCounts
 	workers map[string]*WorkerInfo
 	seq     int // enqueue ordinal
 	wseq    int // worker ordinal
+	// walked counts the jobs Lease and reaping have examined, so tests
+	// can pin that a job cycle does not walk completed jobs.
+	walked int
 }
 
 // New opens a queue over the store, replaying the journal collection to
@@ -232,6 +246,7 @@ func New(store *storage.Store, opts Options) (*Queue, error) {
 		store:   store,
 		opts:    opts,
 		jobs:    map[string]*Job{},
+		counts:  map[string]*TenantCounts{},
 		workers: map[string]*WorkerInfo{},
 	}
 	if err := q.replay(); err != nil {
@@ -272,22 +287,23 @@ func (q *Queue) replay() error {
 	// IDs they reference no longer exist. A second replay of the
 	// resulting journal reaches the same conclusion.
 	now := q.opts.NowMS()
-	for _, id := range q.order {
-		j := q.jobs[id]
-		if j.Status == StatusLeased {
-			q.reclaim(j, now, "dispatcher restart reclaimed lease")
-		}
+	for _, j := range slices.Clone(q.leased) {
+		q.reclaim(j, now, "dispatcher restart reclaimed lease")
 	}
 	return nil
 }
 
 // apply folds one journal entry into the state (no journaling; replay
-// and live mutation share this).
+// and live mutation share this). Every status change goes through
+// setStatus, so the indexes and counters follow the journal.
 func (q *Queue) apply(e *journalEntry) error {
 	switch e.Op {
 	case "enqueue":
 		if e.Job == nil {
 			return errors.New("enqueue entry without job")
+		}
+		if _, ok := q.jobs[e.Job.ID]; ok {
+			return fmt.Errorf("enqueue of existing job %s", e.Job.ID)
 		}
 		j := *e.Job
 		if j.Tenant == "" {
@@ -295,6 +311,7 @@ func (q *Queue) apply(e *journalEntry) error {
 		}
 		q.jobs[j.ID] = &j
 		q.order = append(q.order, j.ID)
+		q.index(&j)
 		if j.Seq > q.seq {
 			q.seq = j.Seq
 		}
@@ -303,7 +320,7 @@ func (q *Queue) apply(e *journalEntry) error {
 		if !ok {
 			return fmt.Errorf("lease of unknown job %s", e.JobID)
 		}
-		j.Status = StatusLeased
+		q.setStatus(j, StatusLeased)
 		j.Worker = e.Worker
 		j.LeaseID = e.LeaseID
 		j.LeaseExpiresMS = e.ExpiresMS
@@ -320,7 +337,7 @@ func (q *Queue) apply(e *journalEntry) error {
 		if !ok {
 			return fmt.Errorf("complete of unknown job %s", e.JobID)
 		}
-		j.Status = StatusCompleted
+		q.setStatus(j, StatusCompleted)
 		j.Completions++
 		j.Records = e.Records
 		j.LeaseID = ""
@@ -330,7 +347,7 @@ func (q *Queue) apply(e *journalEntry) error {
 		if !ok {
 			return fmt.Errorf("%s of unknown job %s", e.Op, e.JobID)
 		}
-		j.Status = e.Status
+		q.setStatus(j, e.Status)
 		j.NotBeforeMS = e.NotBeforeMS
 		j.Error = e.Error
 		j.LeaseID = ""
@@ -339,6 +356,68 @@ func (q *Queue) apply(e *journalEntry) error {
 		return fmt.Errorf("unknown journal op %q", e.Op)
 	}
 	return nil
+}
+
+// setStatus moves j to status s in the indexes and counters.
+func (q *Queue) setStatus(j *Job, s Status) {
+	if j.Status == s {
+		return
+	}
+	q.unindex(j)
+	j.Status = s
+	q.index(j)
+}
+
+// index adds j, at its current status, to the counters and to the
+// pending or leased index at its Seq slot.
+func (q *Queue) index(j *Job) {
+	if idx := q.statusIndex(j.Status); idx != nil {
+		i, _ := slices.BinarySearchFunc(*idx, j.Seq, bySeq)
+		*idx = slices.Insert(*idx, i, j)
+	}
+	q.count(j, 1)
+}
+
+// unindex removes j, at its current status, from what index added it to.
+func (q *Queue) unindex(j *Job) {
+	if idx := q.statusIndex(j.Status); idx != nil {
+		if i, ok := slices.BinarySearchFunc(*idx, j.Seq, bySeq); ok {
+			*idx = slices.Delete(*idx, i, i+1)
+		}
+	}
+	q.count(j, -1)
+}
+
+// statusIndex is the index that holds jobs of status s, or nil.
+func (q *Queue) statusIndex(s Status) *[]*Job {
+	switch s {
+	case StatusPending:
+		return &q.pending
+	case StatusLeased:
+		return &q.leased
+	}
+	return nil
+}
+
+func bySeq(j *Job, seq int) int { return j.Seq - seq }
+
+// count adds d to j's tenant's counter for j's status.
+func (q *Queue) count(j *Job, d int) {
+	c, ok := q.counts[j.Tenant]
+	if !ok {
+		c = &TenantCounts{}
+		q.counts[j.Tenant] = c
+	}
+	switch j.Status {
+	case StatusPending:
+		c.Pending += d
+	case StatusLeased:
+		c.Leased += d
+	case StatusCompleted:
+		c.Completed += d
+	case StatusFailed:
+		c.Failed += d
+	}
 }
 
 // journal appends the entry to the store and only then applies it to
@@ -481,9 +560,9 @@ func (q *Queue) Lease(workerID string) (*Job, error) {
 	if w.Leased >= w.Capacity {
 		return nil, nil
 	}
-	for _, id := range q.order {
-		j := q.jobs[id]
-		if j.Status != StatusPending || j.NotBeforeMS > now || !workerCanRun(w, j) {
+	for _, j := range q.pending {
+		q.walked++
+		if j.NotBeforeMS > now || !workerCanRun(w, j) {
 			continue
 		}
 		return q.leaseLocked(w, j, now)
@@ -643,22 +722,21 @@ func (q *Queue) retryEntry(j *Job, now int64, op, msg string, backoff bool) *jou
 }
 
 // reapLocked reclaims leases whose deadline passed or whose worker has
-// gone silent past the heartbeat TTL. Called with q.mu held, on every
-// worker-driven entry point — the queue has no timer goroutine.
+// gone silent past the heartbeat TTL, in Seq order. Called with q.mu
+// held, on every worker-driven entry point — the queue has no timer
+// goroutine.
 func (q *Queue) reapLocked(now int64) {
-	for _, id := range q.order {
-		j := q.jobs[id]
-		if j.Status != StatusLeased {
-			continue
-		}
-		expired := j.LeaseExpiresMS <= now
+	var lapsed []*Job
+	for _, j := range q.leased {
+		q.walked++
 		w, known := q.workers[j.Worker]
-		dead := !known || now-w.LastSeenMS > q.opts.HeartbeatTTL.Milliseconds()
-		if !expired && !dead {
-			continue
+		if j.LeaseExpiresMS <= now || !known || now-w.LastSeenMS > q.opts.HeartbeatTTL.Milliseconds() {
+			lapsed = append(lapsed, j)
 		}
+	}
+	for _, j := range lapsed {
 		reason := fmt.Sprintf("lease expired on worker %s", j.Worker)
-		if dead && !expired {
+		if j.LeaseExpiresMS > now {
 			reason = fmt.Sprintf("worker %s missed heartbeats", j.Worker)
 		}
 		q.reclaim(j, now, reason)
@@ -753,32 +831,20 @@ type Stats struct {
 	ByTenant map[string]TenantCounts `json:"by_tenant,omitempty"`
 }
 
-// Snapshot reaps and counts jobs by status, totalled and per tenant.
+// Snapshot reaps and reports the job counts by status, totalled and per
+// tenant. Workers counts every worker registered with this process.
 func (q *Queue) Snapshot() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.reapLocked(q.opts.NowMS())
-	s := Stats{ByTenant: map[string]TenantCounts{}}
-	for _, id := range q.order {
-		j := q.jobs[id]
-		tc := s.ByTenant[j.Tenant]
-		switch j.Status {
-		case StatusPending:
-			s.Pending++
-			tc.Pending++
-		case StatusLeased:
-			s.Leased++
-			tc.Leased++
-		case StatusCompleted:
-			s.Completed++
-			tc.Completed++
-		case StatusFailed:
-			s.Failed++
-			tc.Failed++
-		}
-		s.ByTenant[j.Tenant] = tc
+	s := Stats{ByTenant: make(map[string]TenantCounts, len(q.counts)), Workers: len(q.workers)}
+	for tenant, c := range q.counts {
+		s.ByTenant[tenant] = *c
+		s.Pending += c.Pending
+		s.Leased += c.Leased
+		s.Completed += c.Completed
+		s.Failed += c.Failed
 	}
-	s.Workers = len(q.workers)
 	return s
 }
 

@@ -23,12 +23,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"unicode/utf8"
 )
 
@@ -51,11 +53,20 @@ const listBuffer = 32 << 10
 // records when its length is taken, and the file is append-only, so the
 // prefix never changes; an open descriptor survives a Drop. JSON
 // marshalling happens before the lock is taken (marshal failures write
-// nothing) and files are opened per call rather than cached, so the
-// lock never outlives a single syscall sequence. The mutex does not
-// guard against other processes appending to the same directory; the
-// fabric funnels all writes through the dispatcher process for exactly
-// that reason.
+// nothing), so the lock covers only the write's syscalls.
+//
+// Writes go through one O_APPEND descriptor per collection, opened by
+// the first write and held until Drop or Close. Each write fstat's it
+// first: a link count of zero means the file was unlinked or replaced
+// under the store, so the write reopens the path instead of appending
+// to an orphaned inode, and a removed directory fails the write rather
+// than losing it. After the write, the descriptor's offset is the end
+// of the bytes just written, which tells the vouched prefix whether
+// anything was appended from outside the store before them. The mutex
+// does not guard against other processes appending to the same
+// directory — O_APPEND keeps their lines whole, but the store cannot
+// vouch for them until a listing checks them; the fabric funnels all
+// writes through the dispatcher process for exactly that reason.
 //
 // The store remembers, per collection, the prefix of the file it
 // vouches for: bytes it wrote itself, each line the output of
@@ -68,6 +79,9 @@ type Store struct {
 	// vouched is guarded by mu. Drop deletes a collection's entry, so a
 	// listing that checked the old file cannot vouch for the new one.
 	vouched map[string]*vouch
+	// files holds each written collection's append descriptor; guarded
+	// by mu.
+	files map[string]*os.File
 }
 
 // vouch is a prefix of a collection file known to hold only complete
@@ -83,7 +97,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	return &Store{dir: dir, vouched: map[string]*vouch{}}, nil
+	return &Store{dir: dir, vouched: map[string]*vouch{}, files: map[string]*os.File{}}, nil
 }
 
 // validateCollection keeps names path-safe.
@@ -189,23 +203,52 @@ func (s *Store) AppendAll(collection string, vs ...any) error {
 func (s *Store) write(collection string, data []byte, lines int, fits bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := os.OpenFile(s.path(collection), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := s.appender(collection)
 	if err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("storage: %w", err)
+		return err
 	}
 	if _, err := f.Write(data); err != nil {
 		return fmt.Errorf("storage: write: %w", err)
 	}
-	if v := s.vouchFor(collection); fits && v.bytes == fi.Size() {
-		v.bytes += int64(len(data))
+	// An O_APPEND write leaves the offset at the end of its own bytes,
+	// wherever appends from outside the store put them, so the offset
+	// says whether they follow the vouched prefix directly. A failed
+	// Seek vouches for nothing; the bytes are written all the same.
+	end, err := f.Seek(0, io.SeekCurrent)
+	if v := s.vouchFor(collection); err == nil && fits && v.bytes == end-int64(len(data)) {
+		v.bytes = end
 		v.lines += lines
 	}
 	return nil
+}
+
+// appender returns the collection's held append descriptor, opening the
+// path when the store holds none or when the held file has been
+// unlinked or cannot be stat'ed. The caller holds s.mu.
+func (s *Store) appender(collection string) (*os.File, error) {
+	if f, ok := s.files[collection]; ok {
+		if fi, err := f.Stat(); err == nil && !unlinked(fi) {
+			return f, nil
+		}
+		// The prefix vouched for may be the old file's.
+		delete(s.vouched, collection)
+		delete(s.files, collection)
+		// Nothing written to the orphaned inode can be read back through
+		// the path, so its close has nothing to report.
+		_ = f.Close()
+	}
+	f, err := os.OpenFile(s.path(collection), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	s.files[collection] = f
+	return f, nil
+}
+
+// unlinked reports whether the file has no directory entry left.
+func unlinked(fi os.FileInfo) bool {
+	st, ok := fi.Sys().(*syscall.Stat_t)
+	return ok && st.Nlink == 0
 }
 
 // scanLines calls fn with every non-blank line of r, the way Load reads
@@ -456,7 +499,8 @@ func (s *Store) Collections() ([]string, error) {
 	return out, nil
 }
 
-// Drop removes a collection; dropping a missing collection is a no-op.
+// Drop removes a collection and closes its append descriptor; dropping a
+// missing collection is a no-op.
 func (s *Store) Drop(collection string) error {
 	if err := validateCollection(collection); err != nil {
 		return err
@@ -464,9 +508,36 @@ func (s *Store) Drop(collection string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.vouched, collection)
+	closeErr := s.release(collection)
 	err := os.Remove(s.path(collection))
 	if os.IsNotExist(err) {
+		err = nil
+	}
+	return errors.Join(closeErr, err)
+}
+
+// Close closes the store's append descriptors. The store stays usable:
+// a later write opens its collection again.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var errs []error
+	for collection := range s.files {
+		errs = append(errs, s.release(collection))
+	}
+	return errors.Join(errs...)
+}
+
+// release closes and forgets the collection's append descriptor, if
+// any. The caller holds s.mu.
+func (s *Store) release(collection string) error {
+	f, ok := s.files[collection]
+	if !ok {
 		return nil
 	}
-	return err
+	delete(s.files, collection)
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("storage: %w", err)
+	}
+	return nil
 }

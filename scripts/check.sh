@@ -123,7 +123,11 @@ stage "go test ./..." go test ./...
 #      holds GET /api/runs, which copies stored lines, to the bytes of
 #      re-encoding what Load decodes, or to Load's 500.
 #      FuzzColumnarKernelEquivalence holds the columnar filter kernels to
-#      the row plane's Eval.
+#      the row plane's Eval. FuzzQueueTransitions decodes bytes into
+#      enqueue, lease, extend, complete, fail, clock, heartbeat and
+#      restart steps and holds the fabric queue's pending and leased
+#      indexes, its counters and its FIFO lease order to a recount of
+#      the job listing after every step.
 fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzValueHash$' -fuzztime 2s ./internal/tuple
   go test -run '^$' -fuzz '^FuzzSplitterColumnsMatchRows$' -fuzztime 2s ./internal/apps
@@ -131,6 +135,7 @@ fuzz_smoke() {
   go test -run '^$' -fuzz '^FuzzLintLoader$' -fuzztime 2s ./internal/lint
   go test -run '^$' -fuzz '^FuzzRunsListingMatchesLoad$' -fuzztime 2s ./internal/server
   go test -run '^$' -fuzz '^FuzzColumnarKernelEquivalence$' -fuzztime 2s ./internal/core
+  go test -run '^$' -fuzz '^FuzzQueueTransitions$' -fuzztime 2s ./internal/queue
 }
 stage "fuzz smoke (2s per target)" fuzz_smoke
 
