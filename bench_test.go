@@ -420,52 +420,3 @@ func BenchmarkAblationSimulatorMechanisms(b *testing.B) {
 	b.ReportMetric(results["no-msg-cost"], "no-msg-cost-ms")
 	b.ReportMetric(results["no-sync-cost"], "no-sync-cost-ms")
 }
-
-// BenchmarkAblationOperatorChaining compares the real engine with and
-// without Flink-style operator chaining on a deep forward pipeline:
-// fused links exchange tuples by function call instead of channel hops.
-func BenchmarkAblationOperatorChaining(b *testing.B) {
-	build := func() *core.PQP {
-		p := core.NewPQP("chain-bench", "linear")
-		p.Add(&core.Operator{ID: "src", Kind: core.OpSource, Parallelism: 1,
-			Source: &core.SourceSpec{Schema: kvSchema, EventRate: 1_000_000}, OutWidth: 2})
-		prev := "src"
-		for _, id := range []string{"f1", "f2", "f3", "f4"} {
-			part := core.PartitionForward
-			if id == "f1" {
-				part = core.PartitionRebalance
-			}
-			p.Add(&core.Operator{ID: id, Kind: core.OpFilter, Parallelism: 2, Partition: part,
-				Filter:   &core.FilterSpec{Field: 1, Fn: core.FilterGreaterEq, Literal: tuple.Double(0), Selectivity: 1},
-				OutWidth: 2})
-			p.Connect(prev, id)
-			prev = id
-		}
-		p.Add(&core.Operator{ID: "sink", Kind: core.OpSink, Parallelism: 2, Partition: core.PartitionForward})
-		p.Connect(prev, "sink")
-		return p
-	}
-	run := func(chain bool, seed int64) float64 {
-		rt, err := engine.New(build(), engine.Options{
-			Sources: map[string]engine.SourceFactory{"src": func(int) engine.SourceGenerator {
-				return stream.NewSynthetic(kvSchema, seed, 100_000, 1_000_000, "poisson")
-			}},
-			ChainOperators: chain,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := rt.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rep.Throughput
-	}
-	var chained, unchained float64
-	for i := 0; i < b.N; i++ {
-		unchained = run(false, int64(i))
-		chained = run(true, int64(i))
-	}
-	b.ReportMetric(chained, "chained-tuples/s")
-	b.ReportMetric(unchained, "unchained-tuples/s")
-}

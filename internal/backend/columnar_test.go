@@ -53,7 +53,7 @@ func TestColumnarBackendParity(t *testing.T) {
 				tap := &columnarTap{}
 				spec := pc.Spec
 				spec.SinkTap = tap.tap
-				b := &Real{Opts: engine.Options{RowPlane: rowPlane, ChainOperators: true}}
+				b := &Real{Opts: engine.Options{RowPlane: rowPlane}}
 				if _, err := b.Run(context.Background(), pc.Plan, cl, spec); err != nil {
 					t.Fatalf("rowPlane=%v: %v", rowPlane, err)
 				}

@@ -23,7 +23,7 @@ func init() {
 // modelled cluster is recorded but not enforced, since every instance
 // shares this machine.
 type Real struct {
-	// Opts carries engine tuning (batching, chaining, channel capacity).
+	// Opts carries engine tuning (batching, data plane, channel capacity).
 	// Sources, UDOs and SinkTap are populated per run from the RunSpec.
 	Opts engine.Options
 }

@@ -9,23 +9,22 @@ import (
 )
 
 // The columnar data plane is the engine's default (Options.RowPlane
-// opts out): source chains fill struct-of-arrays batches
-// (tuple.ColumnBatch), column-accepting chains run over contiguous
-// slabs, and the row plane takes over automatically wherever a chain
-// needs per-row semantics.
+// opts out): sources fill struct-of-arrays batches (tuple.ColumnBatch),
+// column-accepting operators run over contiguous slabs, and the row
+// plane takes over automatically wherever an operator needs per-row
+// semantics.
 //
-// A chain accepts columnar input iff its fused operators, in order, are
-// filters, sinks, map/flatMaps without a UDO (identity pass-throughs)
-// and UDO/map/flatMaps whose registered UDO implements ColumnUDO, up to
-// an optional keyed tumbling count window: filters compile to
-// core.Kernel selection-vector loops, sinks count/measure straight off
-// the columns, ColumnUDOs append their output rows through a ColumnOut,
-// and the count window folds straight from the key and value columns.
-// The window's results leave as rows, so whatever follows it in the
-// chain runs on the row plane. Time and sliding windows, sessions,
-// joins and row-only UDOs keep the row plane, and the ROUTER is where
-// the fallback happens: a columnar batch addressed to a row-only chain
-// is materialized row by row through the per-tuple send path, so
+// An operator accepts columnar input iff it is a filter, a sink, a
+// map/flatMap without a UDO (an identity pass-through), a
+// UDO/map/flatMap whose registered UDO implements ColumnUDO, or a keyed
+// tumbling count window: filters compile to core.Kernel selection-vector
+// loops, sinks count/measure straight off the columns, ColumnUDOs append
+// their output rows through a ColumnOut, and the count window folds
+// straight from the key and value columns. The window's results leave
+// as rows. Time and sliding windows, sessions, joins and row-only UDOs
+// keep the row plane, and the ROUTER is where the fallback happens: a
+// columnar batch addressed to a row-only operator is materialized row
+// by row through the per-tuple send path, so
 // routing (and therefore any keyed state downstream) is bit-identical
 // to a row-plane run. Fallback batches are counted in
 // Report.ColumnarFallbackBatches so tests and operators can see it.
@@ -69,15 +68,15 @@ type ColumnUDO interface {
 
 // ColumnOut is the appender a ColumnUDO writes its output rows through:
 // Row hands out the next row of a pooled outgoing batch. When that
-// batch is full, the next Row call runs the rest of the chain on it and
-// starts a new one; the engine ships the partial batch when
+// batch is full, the next Row call ships it downstream and starts a new
+// one; the engine ships the partial batch when
 // ProcessColumns returns.
 type ColumnOut struct {
 	kinds []tuple.Type
 	rows  int
 	cb    *tuple.ColumnBatch
-	// next runs the chain after the UDO on a sealed batch; nOut is the
-	// UDO's output counter.
+	// next ships a sealed batch downstream; nOut is the UDO's output
+	// counter.
 	next func(*tuple.ColumnBatch)
 	nOut *uint64
 }
@@ -115,8 +114,8 @@ func (o *ColumnOut) Row(event, ingest int64) (*tuple.ColumnBatch, int) {
 	return cb, cb.AddRow(event, ingest)
 }
 
-// ship seals the pending batch's first n rows and runs the rest of the
-// chain on them; an empty batch goes straight back to the pool.
+// ship seals the pending batch's first n rows and hands them to next;
+// an empty batch goes straight back to the pool.
 func (o *ColumnOut) ship(n int) {
 	cb := o.cb
 	if cb == nil {
@@ -153,86 +152,65 @@ func countTumbling(op *core.Operator) bool {
 		op.Agg.Window.Policy == core.PolicyCount && op.Agg.Window.Type == core.WindowTumbling
 }
 
-// chainAcceptsColumns reports whether a chain can execute on column
-// batches: every fused operator up to the first count window (whose
-// results leave as rows) must run on columns.
-func chainAcceptsColumns(ops []*core.Operator, udos map[string]UDOFactory) bool {
-	for _, op := range ops {
-		switch op.Kind {
-		case core.OpFilter, core.OpSink:
-		case core.OpMap, core.OpFlatMap, core.OpUDO:
-			if op.UDO != nil && !columnUDOOf(op, udos) {
-				return false
-			}
-		case core.OpAggregate:
-			return countTumbling(op)
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// holdsWindow reports whether a chain holds window state. A
-// column-accepting chain that does emits its results as rows.
-func holdsWindow(chain []*chainedOp) bool {
-	for _, c := range chain {
-		if c.op.Kind == core.OpAggregate {
-			return true
-		}
+// acceptsColumns reports whether an operator can execute on column
+// batches.
+func acceptsColumns(op *core.Operator, udos map[string]UDOFactory) bool {
+	switch op.Kind {
+	case core.OpFilter, core.OpSink:
+		return true
+	case core.OpMap, core.OpFlatMap, core.OpUDO:
+		return op.UDO == nil || columnUDOOf(op, udos)
+	case core.OpAggregate:
+		return countTumbling(op)
 	}
 	return false
 }
 
-// kernelFor returns the chained filter's compiled kernel, compiling on
-// first use once the batch reveals the column kind. The field guard
-// mirrors the row path's t.Width() check (out-of-range specs fall back
-// to field 0); batch width is the schema width, constant per stream.
-func (c *chainedOp) kernelFor(cb *tuple.ColumnBatch) core.Kernel {
-	if c.kern == nil {
-		f := c.op.Filter.Field
+// kernelFor returns the filter's compiled kernel, compiling on first
+// use once the batch reveals the column kind. The field guard mirrors
+// the row path's t.Width() check (out-of-range specs fall back to field
+// 0); batch width is the schema width, constant per stream.
+func (oi *opInstance) kernelFor(cb *tuple.ColumnBatch) core.Kernel {
+	if oi.kern == nil {
+		f := oi.op.Filter.Field
 		if f >= cb.Width() {
 			f = 0
 		}
-		c.kfield = f
-		c.kern = core.CompileFilter(c.op.Filter, cb.Kind(f))
+		oi.kfield = f
+		oi.kern = core.CompileFilter(oi.op.Filter, cb.Kind(f))
 	}
-	return c.kern
+	return oi.kern
 }
 
-// applyColumns runs the fused chain from position i over one column
-// batch. Each filter shrinks the selection vector in place; counters
-// advance by live-row counts so PerOperator stats agree with the row
-// plane.
-func (oi *opInstance) applyColumns(i int, cb *tuple.ColumnBatch) {
-	for ; i < len(oi.chain); i++ {
-		c := oi.chain[i]
-		live := uint64(cb.Live())
-		c.nIn += live
-		switch c.op.Kind {
-		case core.OpFilter:
-			k := c.kernelFor(cb)
-			cb.SetSel(k(cb, c.kfield, cb.Sel()))
-			c.nOut += uint64(cb.Live())
-		case core.OpSink:
-			oi.deliverColumns(cb)
-			return
-		case core.OpAggregate:
-			// The count window's results go on as rows.
-			c.agg.addColumns(cb, c.emit)
-			cb.Release()
-			return
-		default:
-			if c.cout != nil {
-				oi.processColumns(c, cb)
-				return
-			}
-			c.nOut += live // spec-less map/flatMap: identity pass-through
-		}
-		if cb.Live() == 0 {
-			cb.Release()
+// applyColumns runs the operator over one column batch. A filter
+// shrinks the selection vector in place; counters advance by live-row
+// counts so PerOperator stats agree with the row plane.
+func (oi *opInstance) applyColumns(cb *tuple.ColumnBatch) {
+	live := uint64(cb.Live())
+	oi.nIn += live
+	switch oi.op.Kind {
+	case core.OpFilter:
+		k := oi.kernelFor(cb)
+		cb.SetSel(k(cb, oi.kfield, cb.Sel()))
+		oi.nOut += uint64(cb.Live())
+	case core.OpSink:
+		oi.deliverColumns(cb)
+		return
+	case core.OpAggregate:
+		// The count window's results go on as rows.
+		oi.agg.addColumns(cb, oi.out)
+		cb.Release()
+		return
+	default:
+		if oi.cout != nil {
+			oi.processColumns(cb)
 			return
 		}
+		oi.nOut += live // spec-less map/flatMap: identity pass-through
+	}
+	if cb.Live() == 0 {
+		cb.Release()
+		return
 	}
 	oi.emitColumns(cb)
 }
@@ -240,11 +218,11 @@ func (oi *opInstance) applyColumns(i int, cb *tuple.ColumnBatch) {
 // processColumns runs a ColumnUDO over one batch and ships its partial
 // output batch. Panics are isolated as safeProcess isolates them on the
 // row plane.
-func (oi *opInstance) processColumns(c *chainedOp, cb *tuple.ColumnBatch) {
-	out := c.cout
+func (oi *opInstance) processColumns(cb *tuple.ColumnBatch) {
+	out := oi.cout
 	defer func() {
 		if r := recover(); r != nil {
-			oi.rt.recordUDOPanic(&CrashError{Op: c.op.ID, Instance: oi.idx, Cause: r})
+			oi.rt.recordUDOPanic(&CrashError{Op: oi.op.ID, Instance: oi.idx, Cause: r})
 			if out.cb != nil {
 				// The row reserved last may be half written.
 				*out.nOut--
@@ -253,7 +231,7 @@ func (oi *opInstance) processColumns(c *chainedOp, cb *tuple.ColumnBatch) {
 		}
 		cb.Release()
 	}()
-	c.cudo.ProcessColumns(cb, out)
+	oi.cudo.ProcessColumns(cb, out)
 	out.Flush()
 }
 
@@ -262,7 +240,7 @@ func (oi *opInstance) processColumns(c *chainedOp, cb *tuple.ColumnBatch) {
 // the ingest column. With a tap each row materializes to a pooled tuple
 // the tap owns, exactly like the row plane's deliver.
 func (oi *opInstance) deliverColumns(cb *tuple.ColumnBatch) {
-	op := oi.chain[len(oi.chain)-1].op.ID
+	op := oi.op.ID
 	sel := cb.Sel()
 	if tap := oi.rt.opts.SinkTap; tap != nil {
 		for _, i := range sel {
@@ -289,7 +267,7 @@ func (oi *opInstance) deliverColumns(cb *tuple.ColumnBatch) {
 	}
 }
 
-// emitColumns forwards a chain-tail batch along all outgoing routes.
+// emitColumns forwards an output batch along all outgoing routes.
 // Fan-out clones BEFORE the original ships (the original may be
 // processed — and released — by the first consumer while later routes
 // are still being served), so clones go out first and the original
@@ -318,8 +296,8 @@ func (oi *opInstance) emitColumns(cb *tuple.ColumnBatch) {
 // through the per-tuple send path, which keeps partitioning decisions
 // (hash, rebalance order) bit-identical to a row-plane run. Columnar
 // targets receive whole batches for forward partitioning and for
-// rebalancing onto stateless chains; hash partitioning, and rebalancing
-// onto a chain that keeps window state, scatter row by row into
+// rebalancing onto stateless operators; hash partitioning, and
+// rebalancing onto an operator that keeps window state, scatter row by row into
 // per-target pending batches (HashAt matches Value.Hash bit for bit,
 // and the round-robin cursor is the row plane's, so rows land on the
 // same instances either way).
@@ -433,14 +411,14 @@ func (rt *router) flushColAll(ctx context.Context) bool {
 	return true
 }
 
-// materializeColumns is the receiver-side fallback: a row-only chain
+// materializeColumns is the receiver-side fallback: a row-only operator
 // handed a column batch (defensive — routers materialize before
 // sending to row-only targets, so this path is normally dead) unboxes
 // and replays it through the row plane.
 func (oi *opInstance) materializeColumns(cb *tuple.ColumnBatch, side int) {
 	for _, i := range cb.Sel() {
 		//lint:ignore hotpath-alloc defensive receiver-side fallback replays rows through the row plane
-		oi.applyAt(0, cb.MaterializeRow(int(i)), side)
+		oi.apply(cb.MaterializeRow(int(i)), side)
 	}
 	cb.Release()
 }
@@ -452,7 +430,7 @@ func (oi *opInstance) materializeColumns(cb *tuple.ColumnBatch, side int) {
 // the columnar plane is already off under Throttle/Faults, so no pacing
 // or chaos checks appear here.
 func (oi *opInstance) runSourceColumnar(ctx context.Context) {
-	src := oi.head()
+	src := oi.op
 	gen := oi.rt.opts.Sources[src.ID](oi.idx)
 	kinds := tuple.KindsOf(src.Source.Schema)
 	rows := oi.rt.opts.ColumnarBatch
@@ -487,7 +465,7 @@ func (oi *opInstance) runSourceColumnar(ctx context.Context) {
 			break
 		}
 		oi.seq += uint64(n)
-		oi.chain[0].nOut += uint64(n)
+		oi.nOut += uint64(n)
 		unrecorded += uint64(n)
 		if unrecorded >= 1024 {
 			oi.rt.recordIngest(unrecorded)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -37,8 +38,8 @@ func runColumnar(t *testing.T, plan *core.PQP, seed int64, perSource int, opts O
 	return sortedRendering(sink.tuples()), rep
 }
 
-// chainedFilterPlan: src → f1 (rebalance) → f2/f3 (forward, chainable)
-// → sink, the columnar plane's home turf.
+// chainedFilterPlan: src → f1 (rebalance) → f2 (forward) → f3 (hash)
+// → sink, a chain of filters: the columnar plane's home turf.
 func chainedFilterPlan() *core.PQP {
 	p := core.NewPQP("columnar-filters", "linear")
 	p.Add(&core.Operator{ID: "src", Kind: core.OpSource, Parallelism: 1,
@@ -60,53 +61,42 @@ func chainedFilterPlan() *core.PQP {
 	return p
 }
 
-// TestColumnarMatchesRow: the columnar plane is an execution
+// TestColumnarMatchesRowUnchained: the columnar plane is an execution
 // optimization, so a deterministic plan must deliver a bit-identical
-// sink multiset on the row plane, on the columnar plane, and on the
-// columnar plane with batch capacities
-// that never divide the input evenly — including capacity 1, the
-// degenerate one-row-per-batch plane.
-func TestColumnarMatchesRow(t *testing.T) {
-	plan := chainedFilterPlan()
-	const n = 3000
-	want, _ := runColumnar(t, plan, 42, n, Options{ChainOperators: true, RowPlane: true})
-	if len(want) == 0 {
-		t.Fatal("row plan produced no output")
-	}
-	for _, rows := range []int{0 /* default 1024 */, 1, 7, 4096} {
-		got, rep := runColumnar(t, plan, 42, n, Options{ChainOperators: true, ColumnarBatch: rows})
-		if rep.ColumnarBatches == 0 {
-			t.Fatalf("ColumnarBatch %d: no columnar batches routed", rows)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("ColumnarBatch %d: %d sink tuples, row plane produced %d", rows, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("ColumnarBatch %d: sink multiset diverges at %d: %q vs %q", rows, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestColumnarMatchesRowUnchained repeats the check without operator
-// chaining, so every chain is a single operator and every link crosses
-// a router.
+// sink multiset on the row plane and on the columnar plane, with every
+// link crossing a router, at batch capacities that never divide the
+// input evenly — including capacity 1, the degenerate
+// one-row-per-batch plane.
 func TestColumnarMatchesRowUnchained(t *testing.T) {
 	plan := chainedFilterPlan()
-	const n = 2000
-	want, _ := runColumnar(t, plan, 11, n, Options{RowPlane: true})
-	got, rep := runColumnar(t, plan, 11, n, Options{})
-	if rep.ColumnarBatches == 0 {
-		t.Fatal("no columnar batches routed")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d sink tuples, row plane produced %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("sink multiset diverges at %d: %q vs %q", i, got[i], want[i])
-		}
+	for _, tc := range []struct {
+		seed int64
+		n    int
+		rows []int // ColumnarBatch capacities; 0 is the default 1024
+	}{
+		{seed: 11, n: 2000, rows: []int{0}},
+		{seed: 42, n: 3000, rows: []int{0, 1, 7, 4096}},
+	} {
+		t.Run(fmt.Sprintf("seed%d", tc.seed), func(t *testing.T) {
+			want, _ := runColumnar(t, plan, tc.seed, tc.n, Options{RowPlane: true})
+			if len(want) == 0 {
+				t.Fatal("row plan produced no output")
+			}
+			for _, rows := range tc.rows {
+				got, rep := runColumnar(t, plan, tc.seed, tc.n, Options{ColumnarBatch: rows})
+				if rep.ColumnarBatches == 0 {
+					t.Fatalf("ColumnarBatch %d: no columnar batches routed", rows)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("ColumnarBatch %d: %d sink tuples, row plane produced %d", rows, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("ColumnarBatch %d: sink multiset diverges at %d: %q vs %q", rows, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -77,11 +77,7 @@ type Options struct {
 	// real time; unthrottled runs replay as fast as possible (the mode
 	// functional tests use).
 	Throttle bool
-	// ChainOperators fuses forward-partitioned, equal-parallelism
-	// operator runs into single instances (Flink task chaining),
-	// replacing channel hops with function calls on the fused links.
-	ChainOperators bool
-	// RowPlane turns the columnar data plane off: every chain runs on
+	// RowPlane turns the columnar data plane off: every operator runs on
 	// row tuples. The columnar plane is the default — sources fill
 	// column batches whenever a consumer accepts them, and sink output
 	// is the same multiset either way — so the row plane is the
@@ -133,9 +129,9 @@ type Report struct {
 	Elapsed   time.Duration
 	// Columnar accounting (zero on the row plane): batches routed on the
 	// columnar plane, and the subset that fell back to per-row
-	// materialization because the receiving chain is row-only. A fallback
-	// count > 0 means part of the plan executed on the row plane —
-	// automatic, but visible.
+	// materialization because the receiving operator is row-only. A
+	// fallback count > 0 means part of the plan executed on the row
+	// plane — automatic, but visible.
 	ColumnarBatches         uint64
 	ColumnarFallbackBatches uint64
 	// Fault accounting (all zero unless Options.Faults was set):
@@ -166,11 +162,8 @@ type Runtime struct {
 	opts Options
 
 	insts map[string][]*opInstance
-	// chainHead maps every operator ID to the head of the chain hosting
-	// it; faults target logical operators, which chaining may have fused.
-	chainHead map[string]string
 	// linkFaults holds the shared link-fault state per targeted
-	// downstream chain head (nil map unless the schedule has link events).
+	// downstream operator (nil map unless the schedule has link events).
 	linkFaults map[string]*linkFault
 	faultWG    sync.WaitGroup
 	report     reportState
@@ -273,89 +266,68 @@ func New(plan *core.PQP, opts Options) (*Runtime, error) {
 	return r, nil
 }
 
-// build creates instances (one set per operator chain) and routing
-// tables between chain boundaries.
+// build creates the instances of every operator and the routes between
+// them.
 func (r *Runtime) build() error {
-	chains, err := buildChains(r.plan, r.opts.ChainOperators)
+	order, err := r.plan.TopoOrder()
 	if err != nil {
 		return err
 	}
-	// Create instances per chain, keyed by the chain head's operator ID.
-	tails := make(map[string]string, len(chains)) // head → tail op ID
-	r.chainHead = make(map[string]string, len(r.plan.Operators))
-	for _, chain := range chains {
-		head := r.plan.Op(chain[0])
-		ops := make([]*core.Operator, len(chain))
-		for i, id := range chain {
-			ops[i] = r.plan.Op(id)
-			r.chainHead[id] = head.ID
-		}
-		insts := make([]*opInstance, head.Parallelism)
-		colOK := r.columnar && head.Kind != core.OpSource && chainAcceptsColumns(ops, r.opts.UDOs)
+	for _, id := range order {
+		op := r.plan.Op(id)
+		insts := make([]*opInstance, op.Parallelism)
+		colOK := r.columnar && op.Kind != core.OpSource && acceptsColumns(op, r.opts.UDOs)
 		for i := range insts {
-			insts[i] = newOpInstance(r, ops, i)
+			insts[i] = newOpInstance(r, op, i)
 			insts[i].colOK = colOK
 		}
-		r.insts[head.ID] = insts
-		tails[head.ID] = chain[len(chain)-1]
+		r.insts[id] = insts
 	}
-	// Wire chain tails to downstream chain heads. Every external consumer
-	// of a chain tail is itself a chain head: a fused operator's single
-	// producer is its chain predecessor, so edges leaving a chain can
-	// only land on heads. Join sides follow the plan's edge order.
-	for headID, insts := range r.insts {
-		tailID := tails[headID]
-		tailOp := r.plan.Op(tailID)
-		for _, downID := range r.plan.Downstream(tailID) {
+	// Join sides follow the plan's edge order.
+	for _, id := range order {
+		op := r.plan.Op(id)
+		for _, downID := range r.plan.Downstream(id) {
 			down := r.plan.Op(downID)
-			targets, ok := r.insts[downID]
-			if !ok {
-				return fmt.Errorf("engine: internal error: edge %s→%s lands inside a chain", tailID, downID)
-			}
+			targets := r.insts[downID]
 			side := 0
 			if down.Kind == core.OpJoin {
 				for i, u := range r.plan.Upstream(downID) {
-					if u == tailID {
+					if u == id {
 						side = i % 2
 					}
 				}
 			}
 			// Watermark slots: every target keeps one watermark per
 			// producing instance per side. This edge's producers claim the
-			// next tailOp.Parallelism slots — read the base before the
+			// next op.Parallelism slots — read the base before the
 			// expectEOS bump that reserves them.
 			base := int32(targets[0].expectEOS[side])
-			for _, inst := range insts {
+			for _, inst := range r.insts[id] {
 				nr := newRouter(down, targets, side, inst.idx, r.opts.BatchSize)
 				nr.wmID = base + int32(inst.idx)
 				inst.routes = append(inst.routes, nr)
 			}
 			for _, dinst := range targets {
-				dinst.expectEOS[side] += tailOp.Parallelism
+				dinst.expectEOS[side] += op.Parallelism
 			}
 		}
 	}
-	// Columnar sources and tail joins produce column batches only when
-	// some route leads to a chain where columns pay (see columnsPay);
+	// Columnar sources and joins produce column batches only when some
+	// route leads to an operator where columns pay (see columnsPay);
 	// otherwise the row path avoids a fill-then-materialize round trip
-	// per tuple. A join qualifies only as a single-op chain (joins are
-	// always chain heads; with fused followers its output must flow
-	// through the row chain).
+	// per tuple.
 	if !r.columnar {
 		return nil
 	}
-	pays := r.columnsPay(chains)
+	pays := r.columnsPay(order)
 	for id, insts := range r.insts {
 		kind := r.plan.Op(id).Kind
 		if kind != core.OpSource && kind != core.OpJoin {
 			continue
 		}
 		for _, inst := range insts {
-			if kind == core.OpJoin && len(inst.chain) != 1 {
-				break
-			}
 			for _, rt := range inst.routes {
-				if rt.colOK && pays[rt.targets[0].head().ID] {
+				if rt.colOK && pays[rt.targets[0].op.ID] {
 					if kind == core.OpSource {
 						inst.colSrc = true
 					} else {
@@ -366,72 +338,70 @@ func (r *Runtime) build() error {
 			}
 		}
 	}
-	r.boundColumnChannels(chains)
+	r.boundColumnChannels(order)
 	return nil
 }
 
-// columnsPay reports, per chain head, whether column batches reaching
-// the chain are consumed natively: by a sink (no boxing), a ColumnUDO
-// (no tuple per output) or a count window (folded off the slabs) in the
-// chain itself or in a column-accepting chain downstream. A stretch of
-// filters that ends in the row fallback costs a row-to-column copy at
-// its producer and a column-to-row copy at the fallback, more than its
-// kernels save, so sources and joins feeding only such stretches stay
-// on rows. Chains are visited in reverse topological order.
-func (r *Runtime) columnsPay(chains [][]string) map[string]bool {
-	pays := make(map[string]bool, len(chains))
-	for i := len(chains) - 1; i >= 0; i-- {
-		inst := r.insts[chains[i][0]][0]
+// columnsPay reports, per operator, whether column batches reaching it
+// are consumed natively: by a sink (no boxing), a ColumnUDO (no tuple
+// per output) or a count window (folded off the slabs), itself or in a
+// column-accepting operator downstream. A stretch of filters that ends
+// in the row fallback costs a row-to-column copy at its producer and a
+// column-to-row copy at the fallback, more than its kernels save, so
+// sources and joins feeding only such stretches stay on rows. Operators
+// are visited in reverse topological order.
+func (r *Runtime) columnsPay(order []string) map[string]bool {
+	pays := make(map[string]bool, len(order))
+	for i := len(order) - 1; i >= 0; i-- {
+		inst := r.insts[order[i]][0]
 		if !inst.colOK {
 			continue
 		}
-		p := false
-		for _, c := range inst.chain {
-			// A UDO on a column-accepting chain is a ColumnUDO.
-			p = p || c.op.Kind == core.OpSink || c.op.Kind == core.OpAggregate || c.op.UDO != nil
-		}
+		// A UDO on a column-accepting operator is a ColumnUDO.
+		kind := inst.op.Kind
+		p := kind == core.OpSink || kind == core.OpAggregate || inst.op.UDO != nil
 		for _, rt := range inst.routes {
-			p = p || (rt.colOK && pays[rt.targets[0].head().ID])
+			p = p || (rt.colOK && pays[rt.targets[0].op.ID])
 		}
-		pays[chains[i][0]] = p
+		pays[order[i]] = p
 	}
 	return pays
 }
 
-// boundColumnChannels sizes the input channel of every chain fed only
+// boundColumnChannels sizes the input channel of every operator fed only
 // column batches in rows rather than messages: ChannelCapacity ×
 // BatchSize / ColumnarBatch full batches hold as many rows as the row
 // plane's ChannelCapacity batches of BatchSize tuples, and partial
-// batches hold fewer (see Options.ChannelCapacity). Chains are
+// batches hold fewer (see Options.ChannelCapacity). Operators are
 // visited in topological order, so each knows whether all of its
 // producers ship columns.
-func (r *Runtime) boundColumnChannels(chains [][]string) {
+func (r *Runtime) boundColumnChannels(order []string) {
 	slots := r.opts.ChannelCapacity * r.opts.BatchSize / r.opts.ColumnarBatch
 	if slots < 1 {
 		slots = 1
 	}
-	shipsColumns := make(map[string]bool, len(chains)) // chain head → output is column batches
-	for _, chain := range chains {
-		head := chain[0]
-		inst := r.insts[head][0]
+	shipsColumns := make(map[string]bool, len(order)) // operator → output is column batches
+	for _, id := range order {
+		inst := r.insts[id][0]
 		switch {
 		case inst.colSrc || inst.colJoin:
-			shipsColumns[head] = true
+			shipsColumns[id] = true
 			continue
 		case !inst.colOK:
 			continue
 		}
 		fed := true
-		for _, up := range r.plan.Upstream(head) {
-			fed = fed && shipsColumns[r.chainHead[up]]
+		for _, up := range r.plan.Upstream(id) {
+			fed = fed && shipsColumns[up]
 		}
 		if !fed {
 			continue
 		}
-		for _, oi := range r.insts[head] {
+		for _, oi := range r.insts[id] {
 			oi.in = make(chan message, slots)
 		}
-		shipsColumns[head] = !holdsWindow(inst.chain)
+		// A column-accepting count window emits its results as rows.
+		shipsColumns[id] = inst.op.Kind != core.OpAggregate
 	}
 }
 
@@ -485,23 +455,18 @@ func (r *Runtime) Run(ctx context.Context) (*Report, error) {
 		Downtime:        r.report.downtime,
 		RecoveredTuples: r.report.recoveredTuples,
 	}
-	for _, insts := range r.insts {
+	for id, insts := range r.insts {
+		s := OperatorStats{InstanceIn: make([]uint64, len(insts))}
 		for _, inst := range insts {
-			for _, c := range inst.chain {
-				s := rep.PerOperator[c.op.ID]
-				s.In += c.nIn
-				s.Out += c.nOut
-				if s.InstanceIn == nil {
-					s.InstanceIn = make([]uint64, len(insts))
-				}
-				s.InstanceIn[inst.idx] = c.nIn
-				rep.PerOperator[c.op.ID] = s
-			}
+			s.In += inst.nIn
+			s.Out += inst.nOut
+			s.InstanceIn[inst.idx] = inst.nIn
 			for _, route := range inst.routes {
 				rep.ColumnarBatches += route.colBatches
 				rep.ColumnarFallbackBatches += route.colFallback
 			}
 		}
+		rep.PerOperator[id] = s
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		rep.Throughput = float64(rep.TuplesOut) / secs

@@ -717,3 +717,55 @@ func TestPerOperatorCounters(t *testing.T) {
 		t.Errorf("sink in = %d, want 2", got)
 	}
 }
+
+// faultyUDO panics on every third tuple — failure injection for the
+// engine's isolation guarantee.
+type faultyUDO struct{ n int }
+
+func (f *faultyUDO) Process(t *tuple.Tuple, emit func(*tuple.Tuple)) {
+	f.n++
+	if f.n%3 == 0 {
+		panic("injected UDO failure")
+	}
+	emit(t)
+}
+
+func (f *faultyUDO) Flush(func(*tuple.Tuple)) {}
+
+func TestUDOPanicIsolation(t *testing.T) {
+	p := core.NewPQP("fault-test", "custom")
+	p.Add(&core.Operator{ID: "src", Kind: core.OpSource, Parallelism: 1,
+		Source: &core.SourceSpec{Schema: kvSchema, EventRate: 1000}, OutWidth: 2})
+	p.Add(&core.Operator{ID: "u", Kind: core.OpUDO, Parallelism: 1, Partition: core.PartitionRebalance,
+		UDO: &core.UDOSpec{Name: "faulty", CostFactor: 1, Selectivity: 1}, OutWidth: 2})
+	p.Add(&core.Operator{ID: "sink", Kind: core.OpSink, Parallelism: 1})
+	p.Connect("src", "u")
+	p.Connect("u", "sink")
+
+	var in []*tuple.Tuple
+	for i := 0; i < 99; i++ {
+		in = append(in, kv(int64(i+1), int64(i), 1))
+	}
+	sink := &collectSink{}
+	rt, err := New(p, Options{
+		Sources: map[string]SourceFactory{"src": func(int) SourceGenerator { return stream.NewFromTuples(in...) }},
+		UDOs:    map[string]UDOFactory{"faulty": func(int) UDO { return &faultyUDO{} }},
+		SinkTap: sink.tap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rt.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.UDOPanics != 33 {
+		t.Errorf("UDOPanics = %d, want 33 (every third of 99)", rep.UDOPanics)
+	}
+	if got := len(sink.tuples()); got != 66 {
+		t.Errorf("delivered %d, want the 66 surviving tuples", got)
+	}
+	if rep.TuplesIn != 99 {
+		t.Errorf("TuplesIn = %d", rep.TuplesIn)
+	}
+}

@@ -30,7 +30,7 @@ import (
 // through the error plane instead of being swallowed (enforced by
 // pdsplint's recover-discipline rule).
 type CrashError struct {
-	// Op is the crashed instance's chain-head operator.
+	// Op is the crashed instance's operator.
 	Op string
 	// Instance is the parallel instance index.
 	Instance int
@@ -95,9 +95,8 @@ func (lf *linkFault) applyDelay() {
 }
 
 // setupFaults wires the fault state after build(): per-instance kill
-// state, the op → chain-head index (faults target logical operators,
-// which chaining may have fused), and link-fault state per targeted
-// downstream head. Called only when Options.Faults is non-empty.
+// state and link-fault state per targeted downstream operator. Called
+// only when Options.Faults is non-empty.
 func (r *Runtime) setupFaults() {
 	if r.opts.RestartDelay <= 0 {
 		r.opts.RestartDelay = 20 * time.Millisecond
@@ -114,9 +113,8 @@ func (r *Runtime) setupFaults() {
 	r.linkFaults = make(map[string]*linkFault)
 	for _, ev := range evs {
 		if ev.Kind == chaos.KindLinkDelay || ev.Kind == chaos.KindLinkDrop {
-			head := r.chainHead[ev.Op]
-			if _, ok := r.linkFaults[head]; !ok {
-				r.linkFaults[head] = &linkFault{}
+			if _, ok := r.linkFaults[ev.Op]; !ok {
+				r.linkFaults[ev.Op] = &linkFault{}
 			}
 		}
 	}
@@ -125,7 +123,7 @@ func (r *Runtime) setupFaults() {
 		for _, inst := range insts {
 			for _, route := range inst.routes {
 				if len(route.targets) > 0 {
-					route.lf = r.linkFaults[route.targets[0].head().ID]
+					route.lf = r.linkFaults[route.targets[0].op.ID]
 				}
 			}
 		}
@@ -191,21 +189,21 @@ func (r *Runtime) applyFault(ev chaos.Event) {
 			oi.flt.slowUntil.Store(now + durNanos)
 		}
 	case chaos.KindLinkDelay:
-		if lf := r.linkFaults[r.chainHead[ev.Op]]; lf != nil {
+		if lf := r.linkFaults[ev.Op]; lf != nil {
 			lf.delayNanos.Store(int64(ev.Factor * 1e9))
 			lf.delayUntil.Store(now + durNanos)
 		}
 	case chaos.KindLinkDrop:
-		if lf := r.linkFaults[r.chainHead[ev.Op]]; lf != nil {
+		if lf := r.linkFaults[ev.Op]; lf != nil {
 			lf.dropUntil.Store(now + durNanos)
 		}
 	}
 }
 
 // targetInstances resolves an event to the instances hosting its
-// logical operator (the chain that fused it, if chaining is on).
+// operator.
 func (r *Runtime) targetInstances(ev chaos.Event) []*opInstance {
-	insts := r.insts[r.chainHead[ev.Op]]
+	insts := r.insts[ev.Op]
 	if ev.Instance < 0 || len(insts) == 0 {
 		return insts
 	}
@@ -270,7 +268,7 @@ func (r *Runtime) supervise(ctx context.Context, oi *opInstance) {
 func (oi *opInstance) runGuarded(ctx context.Context) (crash *CrashError) {
 	defer func() {
 		if v := recover(); v != nil {
-			crash = &CrashError{Op: oi.head().ID, Instance: oi.idx, Cause: v}
+			crash = &CrashError{Op: oi.op.ID, Instance: oi.idx, Cause: v}
 		}
 	}()
 	oi.run(ctx)
@@ -280,14 +278,10 @@ func (oi *opInstance) runGuarded(ctx context.Context) (crash *CrashError) {
 // workDone is a monotone per-instance progress counter used to account
 // tuples processed by revived lives (RecoveredTuples).
 func (oi *opInstance) workDone() uint64 {
-	if oi.head().Kind == core.OpSource {
-		return oi.chain[0].nOut
+	if oi.op.Kind == core.OpSource {
+		return oi.nOut
 	}
-	var n uint64
-	for _, c := range oi.chain {
-		n += c.nIn
-	}
-	return n
+	return oi.nIn
 }
 
 // declareDead retires an instance whose restart budget is exhausted.
@@ -298,7 +292,7 @@ func (oi *opInstance) workDone() uint64 {
 // last live instance, the run's fatal error becomes a typed
 // *chaos.FaultError.
 func (r *Runtime) declareDead(ctx context.Context, oi *opInstance, crash *CrashError) {
-	head := oi.head()
+	head := oi.op
 	r.report.mu.Lock()
 	r.report.deadOf[head.ID]++
 	if r.report.deadOf[head.ID] >= len(r.insts[head.ID]) && r.report.fatal == nil {

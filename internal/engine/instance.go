@@ -65,7 +65,7 @@ func putBatch(b *[]*tuple.Tuple) {
 }
 
 // router delivers an upstream instance's output to the instances of one
-// downstream chain under its head operator's partition strategy. Routing
+// downstream operator under that operator's partition strategy. Routing
 // decisions stay per-tuple (so partitioning semantics are identical to
 // the unbatched plane); only the channel send is batched, through one
 // pending buffer per target instance.
@@ -91,13 +91,13 @@ type router struct {
 	wmID int32
 
 	// Columnar plane (see column.go). colOK records whether the target
-	// chain accepts column batches; when false, sendColumns falls back
+	// operator accepts column batches; when false, sendColumns falls back
 	// to per-row materialization through send. colBufs holds per-target
 	// pending scatter batches for hash partitioning, colPending the rows
 	// buffered across them; colBatches/colFallback count batches routed
 	// and batches that fell back to the row plane.
 	colOK bool
-	// stateful: the target chain keeps window state, so a rebalance
+	// stateful: the target operator keeps window state, so a rebalance
 	// onto it scatters row by row, as the row plane routes, instead of
 	// shipping whole batches.
 	stateful    bool
@@ -139,7 +139,7 @@ func newRouter(down *core.Operator, targets []*opInstance, side, fromIdx, batchS
 		bufs:      make([]*[]*tuple.Tuple, len(targets)),
 		sentEOS:   make([]bool, len(targets)),
 		colOK:     len(targets) > 0 && targets[0].colOK,
-		stateful:  len(targets) > 0 && holdsWindow(targets[0].chain),
+		stateful:  down.Kind == core.OpAggregate,
 		colBufs:   make([]*tuple.ColumnBatch, len(targets)),
 	}
 }
@@ -233,13 +233,13 @@ func (rt *router) eos(ctx context.Context) bool {
 	return true
 }
 
-// opInstance executes one parallel instance of an operator chain (a
-// single operator unless Options.ChainOperators fused several).
+// opInstance executes one parallel instance of an operator, with the
+// operator's per-instance state.
 type opInstance struct {
-	rt    *Runtime
-	chain []*chainedOp
-	idx   int
-	ctx   context.Context // the run's context, set once at goroutine start
+	rt  *Runtime
+	op  *core.Operator
+	idx int
+	ctx context.Context // the run's context, set once at goroutine start
 	// flt is this instance's chaos state; nil (the no-fault case) makes
 	// every fault check a single pointer comparison.
 	flt *instFault
@@ -250,16 +250,39 @@ type opInstance struct {
 	gotEOS    [2]int
 	seq       uint64
 
+	// nIn and nOut count the operator's input and output tuples over
+	// every life of the instance.
+	nIn  uint64
+	nOut uint64
+	// Operator state, rebuilt by initState at the start of every life.
+	agg  *aggregator
+	join *joiner
+	udo  UDO
+	// out is emit bound once per life, handed to the window, join and
+	// UDO code that takes an emission callback, so the per-tuple path
+	// allocates no closures.
+	out func(*tuple.Tuple)
+	// Columnar plane: the filter's compiled kernel and resolved field,
+	// lazily built from the first batch's column kind (see kernelFor in
+	// column.go). Nil until then; row-only instances never populate it.
+	kern   core.Kernel
+	kfield int
+	// cudo and cout are the UDO's columnar fast path and its appender,
+	// set only when the UDO implements ColumnUDO on a column-accepting
+	// instance.
+	cudo ColumnUDO
+	cout *ColumnOut
+
 	// Event-time state (watermark.go): wmIn holds the latest watermark
 	// asserted by each upstream producer, per input side; curWM is the
 	// merged minimum — the instance's own clock — which advances the
-	// chain's window state and is forwarded downstream.
+	// operator's window and join state and is forwarded downstream.
 	wmIn  [2][]int64
 	curWM int64
 
-	// colOK: this chain accepts column batches (set in build when the
-	// columnar plane is on; see chainAcceptsColumns). colSrc: this
-	// source instance produces them — true only when at least one route
+	// colOK: this operator accepts column batches (set in build when the
+	// columnar plane is on; see acceptsColumns). colSrc: this source
+	// instance produces them — true only when at least one route
 	// accepts columns, so a plan of row-only consumers never pays the
 	// fill-then-materialize round trip.
 	// colJoin: this instance is a tail join emitting its matches as
@@ -273,41 +296,127 @@ type opInstance struct {
 	// wall-clock read per input batch (nowUnix) and accumulate counts
 	// and latencies locally, taking the report mutex once per ~1k
 	// deliveries instead of once per tuple.
-	hasSink  bool
 	nowUnix  int64
 	sinkOut  uint64
 	sinkLats []float64
 }
 
-// head is the chain's first operator — the one whose partition strategy
-// and parallelism govern the instance.
-func (oi *opInstance) head() *core.Operator { return oi.chain[0].op }
-
-func newOpInstance(r *Runtime, ops []*core.Operator, idx int) *opInstance {
-	oi := &opInstance{
+func newOpInstance(r *Runtime, op *core.Operator, idx int) *opInstance {
+	return &opInstance{
 		rt:    r,
+		op:    op,
 		idx:   idx,
 		in:    make(chan message, r.opts.ChannelCapacity),
 		curWM: tuple.NoEventTime,
 	}
-	for _, op := range ops {
-		oi.chain = append(oi.chain, &chainedOp{op: op})
-		if op.Kind == core.OpSink {
-			oi.hasSink = true
+}
+
+// initState allocates the operator state of one instance life and binds
+// its emission paths.
+func (oi *opInstance) initState() {
+	oi.out = oi.emit
+	switch oi.op.Kind {
+	case core.OpAggregate:
+		oi.agg = newAggregator(oi.op.Agg, oi.rt.opts.AllowedLateness.Nanoseconds())
+	case core.OpJoin:
+		j := newJoiner(oi.op.Join, oi.rt.opts.AllowedLateness.Nanoseconds())
+		j.rt = oi.rt
+		if oi.colJoin {
+			j.columnar = true
+			j.outCap = oi.rt.opts.ColumnarBatch
+			j.nOut = &oi.nOut
+			j.emitOut = oi.emitColumns
+		} else {
+			j.emitPair = func(arrived, buffered *tuple.Tuple, side int) {
+				oi.emit(j.joined(arrived, buffered, side))
+			}
+		}
+		oi.join = j
+	case core.OpUDO, core.OpMap, core.OpFlatMap:
+		if oi.op.UDO != nil {
+			oi.udo = oi.rt.opts.UDOs[oi.op.UDO.Name](oi.idx)
+			if cu, ok := oi.udo.(ColumnUDO); ok && oi.colOK {
+				oi.cudo = cu
+				oi.cout = &ColumnOut{kinds: cu.OutKinds(), rows: oi.rt.opts.ColumnarBatch, next: oi.emitColumns, nOut: &oi.nOut}
+			}
 		}
 	}
-	return oi
+}
+
+// apply runs the operator's semantics on one input tuple.
+//
+// Ownership: a tuple belongs to whoever holds it last. Operators that
+// consume a tuple without forwarding it (filter drops, aggregate folds,
+// sink deliveries with no tap) release it back to the pool; windowed
+// joins take ownership and release on eviction; UDOs take ownership and
+// may retain or re-emit, so the engine never releases on their behalf.
+func (oi *opInstance) apply(t *tuple.Tuple, side int) {
+	oi.nIn++
+	switch oi.op.Kind {
+	case core.OpSink:
+		oi.deliver(t)
+	case core.OpFilter:
+		f := oi.op.Filter
+		field := f.Field
+		if field >= t.Width() {
+			field = 0
+		}
+		if f.Fn.Eval(t.At(field), f.Literal) {
+			oi.emit(t)
+		} else {
+			t.Release()
+		}
+	case core.OpAggregate:
+		oi.agg.add(t, oi.out, oi.rt)
+		t.Release() // the aggregator folds values; it never retains t
+	case core.OpJoin:
+		oi.join.add(t, side) // joiner owns t until window eviction
+	case core.OpUDO, core.OpMap, core.OpFlatMap:
+		if oi.udo != nil {
+			oi.safeProcess(t)
+			return
+		}
+		oi.emit(t)
+	default:
+		oi.emit(t)
+	}
+}
+
+// safeProcess isolates user-defined operator failures: a panicking UDO
+// drops the offending tuple and is counted, instead of tearing down the
+// whole dataflow — the engine-level counterpart of a task restart, which
+// lets the benchmark inject failures and keep measuring.
+func (oi *opInstance) safeProcess(t *tuple.Tuple) {
+	defer func() {
+		if r := recover(); r != nil {
+			oi.rt.recordUDOPanic(&CrashError{Op: oi.op.ID, Instance: oi.idx, Cause: r})
+		}
+	}()
+	oi.udo.Process(t, oi.out)
+}
+
+// flush drains the operator's retained state at end-of-stream.
+func (oi *opInstance) flush() {
+	switch {
+	case oi.agg != nil:
+		oi.agg.flush(oi.out)
+	case oi.join != nil:
+		oi.join.flushColumns() // ship the partial columnar out-batch
+		oi.join.release()      // window buffers go back to the pool
+	case oi.udo != nil:
+		oi.udo.Flush(oi.out)
+	}
 }
 
 // deliver records one sink delivery against the instance-local batch of
 // metrics and hands the tuple to the tap (or back to the pool).
-func (oi *opInstance) deliver(op string, t *tuple.Tuple) {
+func (oi *opInstance) deliver(t *tuple.Tuple) {
 	oi.sinkOut++
 	if t.Ingest > 0 {
 		oi.sinkLats = append(oi.sinkLats, float64(oi.nowUnix-t.Ingest)/1e9)
 	}
 	if tap := oi.rt.opts.SinkTap; tap != nil {
-		tap(op, t)
+		tap(oi.op.ID, t)
 	} else {
 		t.Release()
 	}
@@ -330,11 +439,13 @@ func (oi *opInstance) flushSinkStats() {
 	oi.sinkLats = oi.sinkLats[:0]
 }
 
-// emit forwards a chain-tail output along all outgoing routes. Fan-out
-// clones from the second route on so routes never share mutable tuples;
-// clones are pooled so they recycle like source tuples. A tail with no
-// routes (a plan that dead-ends off a non-sink) drops and releases.
+// emit counts one operator output and forwards it along all outgoing
+// routes. Fan-out clones from the second route on so routes never share
+// mutable tuples; clones are pooled so they recycle like source tuples.
+// An operator with no routes (a plan that dead-ends off a non-sink)
+// drops and releases.
 func (oi *opInstance) emit(t *tuple.Tuple) {
+	oi.nOut++
 	if len(oi.routes) == 0 {
 		t.Release()
 		return
@@ -358,7 +469,7 @@ func (oi *opInstance) pendingOut() int {
 		n += rt.pending + rt.colPending
 	}
 	if oi.colJoin {
-		if out := oi.chain[0].join.out; out != nil {
+		if out := oi.join.out; out != nil {
 			n += out.Len()
 		}
 	}
@@ -368,7 +479,7 @@ func (oi *opInstance) pendingOut() int {
 // flushRoutes ships every partial output batch downstream.
 func (oi *opInstance) flushRoutes(ctx context.Context) bool {
 	if oi.colJoin {
-		oi.chain[0].join.flushColumns()
+		oi.join.flushColumns()
 	}
 	for _, rt := range oi.routes {
 		if !rt.flushAll(ctx) {
@@ -384,7 +495,7 @@ func (oi *opInstance) flushRoutes(ctx context.Context) bool {
 // boundary so a slow-filling batch cannot hold tuples back indefinitely.
 func (oi *opInstance) run(ctx context.Context) {
 	oi.ctx = ctx
-	if oi.head().Kind == core.OpSource {
+	if oi.op.Kind == core.OpSource {
 		if oi.colSrc {
 			oi.runSourceColumnar(ctx)
 			return
@@ -392,10 +503,7 @@ func (oi *opInstance) run(ctx context.Context) {
 		oi.runSource(ctx)
 		return
 	}
-	for i, c := range oi.chain {
-		c.initState(oi)
-		c.bindEmit(oi, i)
-	}
+	oi.initState()
 	oi.initWatermarks()
 	defer oi.flushSinkStats()
 	lingerDur := oi.rt.opts.BatchLinger
@@ -425,7 +533,7 @@ func (oi *opInstance) run(ctx context.Context) {
 			}
 		}
 		// One wall-clock read covers the whole batch's sink latencies.
-		if oi.hasSink {
+		if oi.op.Kind == core.OpSink {
 			oi.nowUnix = time.Now().UnixNano()
 		}
 		if msg.kind == msgEOS {
@@ -435,7 +543,7 @@ func (oi *opInstance) run(ctx context.Context) {
 			oi.noteWatermark(msg.side, msg.from, math.MaxInt64)
 			oi.gotEOS[msg.side]++
 			if oi.allEOS() {
-				oi.flushChain()
+				oi.flush()
 				for _, rt := range oi.routes {
 					rt.eos(ctx)
 				}
@@ -454,7 +562,7 @@ func (oi *opInstance) run(ctx context.Context) {
 			// now (the batch is released during apply), note it after.
 			cbWM := msg.cb.Watermark()
 			if oi.colOK {
-				oi.applyColumns(0, msg.cb)
+				oi.applyColumns(msg.cb)
 			} else {
 				oi.materializeColumns(msg.cb, msg.side)
 			}
@@ -464,7 +572,7 @@ func (oi *opInstance) run(ctx context.Context) {
 		} else {
 			n = len(*msg.b)
 			for _, t := range *msg.b {
-				oi.applyAt(0, t, msg.side)
+				oi.apply(t, msg.side)
 			}
 			putBatch(msg.b)
 		}
@@ -506,8 +614,7 @@ func (oi *opInstance) allEOS() bool {
 	return true
 }
 
-// runSource drives the instance's generator. Sources are never fused, so
-// the chain is exactly [source].
+// runSource drives the instance's generator.
 //
 // Watermark emission is punctuated when the generator implements
 // Watermarker (emit whenever its assertion advances — per-arrival
@@ -515,7 +622,7 @@ func (oi *opInstance) allEOS() bool {
 // WatermarkInterval tuples the source asserts max-event-time-seen minus
 // the bounded-skew allowance from its DisorderSpec.
 func (oi *opInstance) runSource(ctx context.Context) {
-	src := oi.head()
+	src := oi.op
 	gen := oi.rt.opts.Sources[src.ID](oi.idx)
 	rate := src.Source.EventRate / float64(src.Parallelism)
 	killC := oi.killChan()
@@ -580,9 +687,8 @@ func (oi *opInstance) runSource(ctx context.Context) {
 			oi.rt.recordIngest(unrecorded)
 			unrecorded = 0
 		}
-		oi.chain[0].nOut++
-		// Capture the event time before emit: downstream may release the
-		// tuple before the send returns on a fused route.
+		// Capture the event time before emit: once sent, the tuple
+		// belongs downstream and may be released before emit returns.
 		et := t.EventTime
 		oi.emit(t)
 		emitted++

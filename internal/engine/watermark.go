@@ -16,9 +16,10 @@ import (
 // watermark per upstream producer and per input side; its own clock is
 // the minimum across all of them, so a watermark never overtakes data
 // still in flight from a slower producer. When the merged minimum
-// advances, the instance (1) advances its chain's window and join state
-// — firing panes and evicting buffers in event-time order — and then
-// (2) forwards the new watermark on every outgoing route, data first.
+// advances, the instance (1) advances its operator's window and join
+// state — firing panes and evicting buffers in event-time order — and
+// then (2) forwards the new watermark on every outgoing route, data
+// first.
 //
 // End-of-stream is the final watermark: a producer's EOS marker sets
 // its channel watermark to +∞, which releases the merged minimum for
@@ -74,21 +75,18 @@ func (oi *opInstance) noteWatermark(side int, from int32, wm int64) {
 		return
 	}
 	oi.curWM = min
-	oi.advanceChain(min)
+	oi.advance(min)
 	oi.broadcastWatermark(min)
 }
 
-// advanceChain moves every fused operator's event-time state to wm, in
-// chain order so fired pane outputs flow into later positions before
-// those advance in turn.
-func (oi *opInstance) advanceChain(wm int64) {
-	for _, c := range oi.chain {
-		switch {
-		case c.agg != nil:
-			c.agg.advance(wm, c.emit)
-		case c.join != nil:
-			c.join.advance(wm)
-		}
+// advance moves the operator's event-time state to wm: windows fire
+// their panes and joins evict their buffers.
+func (oi *opInstance) advance(wm int64) {
+	switch {
+	case oi.agg != nil:
+		oi.agg.advance(wm, oi.out)
+	case oi.join != nil:
+		oi.join.advance(wm)
 	}
 }
 
@@ -109,7 +107,7 @@ func (oi *opInstance) emitWatermark(wm int64) bool {
 // broadcast on a strict advance of curWM.
 func (oi *opInstance) broadcastWatermark(wm int64) bool {
 	if oi.colJoin {
-		oi.chain[0].join.flushColumns()
+		oi.join.flushColumns()
 	}
 	for _, rt := range oi.routes {
 		if !rt.watermark(oi.ctx, wm) {

@@ -410,8 +410,8 @@ func (a *aggregator) tumbleCount(h uint64, key tuple.Value, keyed bool, v float6
 }
 
 // addColumns folds the selected rows of a batch into a tumbling count
-// window (the only window chainAcceptsColumns admits), straight from
-// the key and value columns with the row plane's field rules; completed
+// window (the only window acceptsColumns admits), straight from the
+// key and value columns with the row plane's field rules; completed
 // windows emit as rows.
 func (a *aggregator) addColumns(cb *tuple.ColumnBatch, emit func(*tuple.Tuple)) {
 	f := a.spec.Field

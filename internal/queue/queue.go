@@ -211,8 +211,10 @@ type Queue struct {
 	leased  []*Job   // leased jobs in Seq order
 	counts  map[string]*TenantCounts
 	workers map[string]*WorkerInfo
-	seq     int // enqueue ordinal
-	wseq    int // worker ordinal
+	// wlist holds the workers in registration order. Workers are never
+	// removed, so its length is also the last worker ordinal.
+	wlist []*WorkerInfo
+	seq   int // enqueue ordinal
 	// walked counts the jobs Lease and reaping have examined, so tests
 	// can pin that a job cycle does not walk completed jobs.
 	walked int
@@ -515,15 +517,15 @@ func (q *Queue) RegisterWorker(name string, capacity int, backends []string) Wor
 	if capacity <= 0 {
 		capacity = 1
 	}
-	q.wseq++
 	w := &WorkerInfo{
-		ID:         fmt.Sprintf("w%d", q.wseq),
+		ID:         fmt.Sprintf("w%d", len(q.wlist)+1),
 		Name:       name,
 		Capacity:   capacity,
 		Backends:   append([]string(nil), backends...),
 		LastSeenMS: q.opts.NowMS(),
 	}
 	q.workers[w.ID] = w
+	q.wlist = append(q.wlist, w)
 	return *w
 }
 
@@ -803,11 +805,9 @@ func (q *Queue) JobsTenant(status Status, tenant string) []Job {
 func (q *Queue) Workers() []WorkerInfo {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]WorkerInfo, 0, len(q.workers))
-	for i := 1; i <= q.wseq; i++ {
-		if w, ok := q.workers[fmt.Sprintf("w%d", i)]; ok {
-			out = append(out, *w)
-		}
+	out := make([]WorkerInfo, len(q.wlist))
+	for i, w := range q.wlist {
+		out[i] = *w
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -339,6 +340,36 @@ func TestEnqueueAllIsAtomic(t *testing.T) {
 	}
 	if len(jobs) != 2 || jobs[0].Seq != 1 || jobs[1].Seq != 2 {
 		t.Errorf("batch jobs: %+v", jobs)
+	}
+}
+
+// TestWorkersListInRegistrationOrder pins the listing order across
+// registrations interleaved with heartbeats, past the ninth worker,
+// where the IDs' string order ("w10" < "w2") departs from it.
+func TestWorkersListInRegistrationOrder(t *testing.T) {
+	clock := &fakeClock{}
+	q, _ := testQueue(t, clock)
+	var want []string
+	for i := 1; i <= 12; i++ {
+		clock.Advance(time.Millisecond)
+		w := q.RegisterWorker(fmt.Sprintf("daemon-%d", i), 1, nil)
+		want = append(want, w.ID)
+		if _, err := q.Heartbeat(want[len(want)/2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := q.Workers()
+	if len(got) != len(want) {
+		t.Fatalf("listed %d workers, registered %d", len(got), len(want))
+	}
+	for i, w := range got {
+		if w.ID != want[i] || w.ID != fmt.Sprintf("w%d", i+1) || w.Name != fmt.Sprintf("daemon-%d", i+1) {
+			t.Errorf("worker %d = %s (%s), want %s (daemon-%d)", i, w.ID, w.Name, want[i], i+1)
+		}
+	}
+	// A heartbeat refreshes the listed worker in place.
+	if got[6].LastSeenMS != clock.Now() {
+		t.Errorf("w7 last seen %d, want the last heartbeat at %d", got[6].LastSeenMS, clock.Now())
 	}
 }
 

@@ -478,32 +478,50 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Sync path: wait for a fair-share slot under the request context.
+	rec, admitted, err := s.runAdmitted(r.Context(), tenant, prep, nil)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, rec)
+	case admitted:
+		writeError(w, http.StatusInternalServerError, err)
+	case shedErr(err):
+		writeRetryError(w, http.StatusServiceUnavailable, tenant,
+			s.sched.cfg.MaxQueueWait.Milliseconds(), err.Error())
+	case r.Context().Err() != nil:
+		// Client already gone; nothing useful to write.
+	default:
+		writeError(w, http.StatusServiceUnavailable, err)
+	}
+}
+
+// runAdmitted carries a run that passed admission through the rest of
+// the pipeline: it waits for a fair-share slot under ctx, executes the
+// run and records both steps in the tenant's serving counters. onAdmit,
+// when set, is called once the slot is held, before execution. admitted
+// reports whether a slot was granted, so a non-nil err is either the
+// scheduler's refusal (admitted false) or the run's failure.
+func (s *Server) runAdmitted(ctx context.Context, tenant string, prep *preparedRun, onAdmit func()) (rec *metrics.RunRecord, admitted bool, err error) {
 	start := s.nowMS()
-	release, err := s.sched.acquire(r.Context(), tenant, prep.cost)
+	release, err := s.sched.acquire(ctx, tenant, prep.cost)
 	if err != nil {
-		switch {
-		case errors.Is(err, errShed), errors.Is(err, errQueueFull):
+		if shedErr(err) {
 			s.serving.shed(tenant)
-			writeRetryError(w, http.StatusServiceUnavailable, tenant,
-				s.sched.cfg.MaxQueueWait.Milliseconds(), err.Error())
-		case r.Context().Err() != nil:
-			// Client already gone; nothing useful to write.
-		default:
-			writeError(w, http.StatusServiceUnavailable, err)
 		}
-		return
+		return nil, false, err
 	}
 	defer release()
 	s.serving.admitted(tenant, float64(s.nowMS()-start))
-	rec, err := s.execute(r.Context(), prep.Ctrl, prep.Plan, prep.Cluster, prep.Spec)
-	if err != nil {
-		s.serving.finished(tenant, true)
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	if onAdmit != nil {
+		onAdmit()
 	}
-	s.serving.finished(tenant, false)
-	writeJSON(w, http.StatusOK, rec)
+	rec, err = s.execute(ctx, prep.Ctrl, prep.Plan, prep.Cluster, prep.Spec)
+	s.serving.finished(tenant, err != nil)
+	return rec, true, err
+}
+
+// shedErr reports whether the fair-share scheduler shed the run.
+func shedErr(err error) bool {
+	return errors.Is(err, errShed) || errors.Is(err, errQueueFull)
 }
 
 // startAsync detaches an admitted run from the request: it executes
@@ -522,28 +540,17 @@ func (s *Server) startAsync(r *http.Request, tenant string, prep *preparedRun, w
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		start := s.nowMS()
-		release, err := s.sched.acquire(runCtx, tenant, prep.cost)
-		if err != nil {
-			if errors.Is(err, errShed) || errors.Is(err, errQueueFull) {
-				s.serving.shed(tenant)
-				rl.append("shed", s.nowMS(), err.Error(), nil)
-			} else {
-				rl.append("failed", s.nowMS(), err.Error(), nil)
-			}
-			return
-		}
-		defer release()
-		s.serving.admitted(tenant, float64(s.nowMS()-start))
-		rl.append("admitted", s.nowMS(), "", nil)
-		rec, err := s.execute(runCtx, prep.Ctrl, prep.Plan, prep.Cluster, prep.Spec)
-		if err != nil {
-			s.serving.finished(tenant, true)
+		rec, admitted, err := s.runAdmitted(runCtx, tenant, prep, func() {
+			rl.append("admitted", s.nowMS(), "", nil)
+		})
+		switch {
+		case err == nil:
+			rl.append("completed", s.nowMS(), "", rec)
+		case !admitted && shedErr(err):
+			rl.append("shed", s.nowMS(), err.Error(), nil)
+		default:
 			rl.append("failed", s.nowMS(), err.Error(), nil)
-			return
 		}
-		s.serving.finished(tenant, false)
-		rl.append("completed", s.nowMS(), "", rec)
 	}()
 	writeJSON(w, http.StatusAccepted, AsyncRunResponse{
 		RunID:  rl.id,

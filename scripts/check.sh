@@ -5,7 +5,9 @@
 #   1. go build      — compile everything first; nothing else is
 #                      meaningful on a broken tree
 #   2. go vet        — the stock correctness screens
-#   3. pdsplint      — this repo's own static guarantees (DESIGN.md
+#   3. gofmt         — fails when `gofmt -l .` lists any file, so
+#                      formatting is checked, not reported by hand
+#   4. pdsplint      — this repo's own static guarantees (DESIGN.md
 #                      "Static guarantees"); emits lint_report.json as a
 #                      machine-readable gate artifact. Ten rules, each
 #                      one invariant over its directories:
@@ -44,26 +46,26 @@
 #        sim-determinism     internal/{des,simengine,workload,stream}: no
 #                            wall clock, no global rand, no map order in
 #                            returned slices
-#   4. go test -race -short — every package under the race detector,
+#   5. go test -race -short — every package under the race detector,
 #                      including the fabric's queue/server protocol
 #                      tests and the goroutine-leak TestMain gates.
 #                      -short skips only the single-threaded ML/shape
 #                      grinds (no concurrency to race, ~10x slower under
 #                      the detector).
-#   5. go test       — the full suite, race detector off, so the slow
+#   6. go test       — the full suite, race detector off, so the slow
 #                      shape tests still gate the merge
-#   6. fuzz smoke    — seconds per target to keep the harnesses honest
-#   7. perfbench smoke — the replay, campaign and serve workloads for
+#   7. fuzz smoke    — seconds per target to keep the harnesses honest
+#   8. perfbench smoke — the replay, campaign and serve workloads for
 #                      2 s each, built from this checkout; a run whose
 #                      output checks fail exits non-zero
-#   8. fabric smoke  — the distributed fabric through the built binary
-#   9. storm smoke   — a short seeded storm against a self-hosted
+#   9. fabric smoke  — the distributed fabric through the built binary
+#  10. storm smoke  — a short seeded storm against a self-hosted
 #                      dispatcher: zero unexplained 5xx, per-tenant
 #                      fairness within tolerance
 #
 # Usage:
 #   scripts/check.sh           # the full gate
-#   scripts/check.sh --quick   # fail-fast inner loop: build + vet + pdsplint
+#   scripts/check.sh --quick   # fail-fast inner loop: build + vet + gofmt + pdsplint
 #
 # Every stage prints its wall time so gate latency regressions (the lint
 # budget is ~10s) are visible in CI logs, not just felt locally.
@@ -93,6 +95,18 @@ stage "go build ./..." go build ./...
 
 stage "go vet ./..." go vet ./...
 
+# gofmt -l exits 0 whatever it finds, so the stage fails on its output.
+gofmt_clean() {
+  local files
+  files=$(gofmt -l .)
+  if [ -n "$files" ]; then
+    echo "gofmt: these files need formatting (run gofmt -w):" >&2
+    echo "$files" >&2
+    return 1
+  fi
+}
+stage "gofmt -l ." gofmt_clean
+
 # pdsplint writes its JSON report even on failure so CI can archive the
 # findings; on a clean run the artifact records the timings instead.
 pdsplint_json() {
@@ -105,7 +119,7 @@ pdsplint_json() {
 stage "pdsplint ./... (-> lint_report.json)" pdsplint_json
 
 if [ "$QUICK" = "1" ]; then
-  echo "check.sh: quick gates passed (build + vet + pdsplint)"
+  echo "check.sh: quick gates passed (build + vet + gofmt + pdsplint)"
   exit 0
 fi
 
@@ -113,7 +127,7 @@ stage "go test -race -short ./..." go test -race -short ./...
 
 stage "go test ./..." go test ./...
 
-#   6. fuzz smoke — a couple of seconds per target keeps the harnesses
+#   7. fuzz smoke — a couple of seconds per target keeps the harnesses
 #      honest (a bit-rotted fuzz target fails here, not in a long
 #      nightly run). Real exploration happens off the gate with longer
 #      -fuzztime budgets. FuzzLintLoader drives malformed source through
@@ -139,7 +153,7 @@ fuzz_smoke() {
 }
 stage "fuzz smoke (2s per target)" fuzz_smoke
 
-#   7. perfbench smoke — perfbench is the repo's benchmark (see
+#   8. perfbench smoke — perfbench is the repo's benchmark (see
 #      perfbench/README.md); a short run of each workload checks that it
 #      still builds from this checkout and that its output checks pass.
 #      Build output and temporary stores go to .bench_build/.
@@ -151,13 +165,13 @@ perfbench_smoke() {
 }
 stage "perfbench smoke (replay, campaign, serve; 2s each)" perfbench_smoke
 
-#   8. fabric smoke — the distributed campaign fabric exercised through
+#   9. fabric smoke — the distributed campaign fabric exercised through
 #      the built binary: a dispatcher process, an HTTP-enqueued sharded
 #      campaign, two worker daemons draining it. Catches CLI wiring and
 #      flag regressions the in-process tests cannot see.
 stage "scripts/fabric_smoke.sh" scripts/fabric_smoke.sh
 
-#   9. storm smoke — the serving front door under a short, seeded
+#   10. storm smoke — the serving front door under a short, seeded
 #      mixed-tenant saturation storm (self-hosted dispatcher, sim
 #      fidelity shrunk). --smoke fails the stage on any 5xx that is not
 #      a deliberate shed, on transport errors, and on per-tenant OK
