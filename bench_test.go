@@ -7,9 +7,11 @@ package pdspbench_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"pdspbench/internal/apps"
 	"pdspbench/internal/cluster"
 	"pdspbench/internal/controller"
 	"pdspbench/internal/core"
@@ -230,6 +232,72 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	}
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(tuples/s, "tuples/s")
+	}
+}
+
+// sentenceReplay replays a prebuilt sentence arena as WordCount's
+// source, one pooled tuple per sentence.
+type sentenceReplay struct {
+	sentences []string
+	i         int
+}
+
+func (g *sentenceReplay) Next() (*tuple.Tuple, bool) {
+	if g.i >= len(g.sentences) {
+		return nil, false
+	}
+	t := tuple.Get(1)
+	t.Values[0] = tuple.String(g.sentences[g.i])
+	t.EventTime = int64(g.i)
+	g.i++
+	return t, true
+}
+
+// BenchmarkWordCountParallelism runs WordCount on the real engine's
+// default (columnar) plane at parallelism 1, 2, 4 and 8 over a sentence
+// arena built before the timer starts, and reports input sentences per
+// second. Hash partitioning into the count windows ships each target
+// its rows of every batch, so message sizes shrink as parallelism
+// grows; on a host with fewer cores than the parallelism the points
+// above the core count are oversubscribed.
+func BenchmarkWordCountParallelism(b *testing.B) {
+	const sentences = 100_000
+	gen := apps.WordCount.Sources(1, sentences)["src"](0)
+	arena := make([]string, 0, sentences)
+	for {
+		t, ok := gen.Next()
+		if !ok {
+			break
+		}
+		arena = append(arena, t.Values[0].S)
+		t.Release()
+	}
+	for _, par := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
+			plan := apps.WordCount.Build(1_000_000)
+			plan.SetUniformParallelism(par)
+			var in uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt, err := engine.New(plan, engine.Options{
+					Sources: map[string]engine.SourceFactory{"src": func(int) engine.SourceGenerator {
+						return &sentenceReplay{sentences: arena}
+					}},
+					UDOs: apps.WordCount.UDOs(),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := rt.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				in += rep.TuplesIn
+			}
+			if s := b.Elapsed().Seconds(); s > 0 {
+				b.ReportMetric(float64(in)/s, "tuples/s")
+			}
+		})
 	}
 }
 

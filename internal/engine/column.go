@@ -24,10 +24,17 @@ import (
 // as rows. Time and sliding windows, sessions, joins and row-only UDOs
 // keep the row plane, and the ROUTER is where the fallback happens: a
 // columnar batch addressed to a row-only operator is materialized row
-// by row through the per-tuple send path, so
-// routing (and therefore any keyed state downstream) is bit-identical
-// to a row-plane run. Fallback batches are counted in
-// Report.ColumnarFallbackBatches so tests and operators can see it.
+// by row through the per-tuple send path, so routing (and therefore
+// any keyed state downstream) is bit-identical to a row-plane run.
+// Fallback batches are counted in Report.ColumnarFallbackBatches so
+// tests and operators can see it.
+//
+// Between column-accepting operators no row is copied. A router that
+// partitions by hash (or rebalances onto a count window) routes each
+// row as the row plane would, then ships every target a view of the
+// batch that selects its rows (tuple.ColumnBatch.View); the key hashes
+// it routed by ride along as the batch's hash column, which the count
+// window folds by.
 //
 // Three things force the row plane entirely: Options.RowPlane (the
 // reference plane of the equivalence suites), Throttle (pacing is
@@ -52,7 +59,8 @@ type ColumnFiller interface {
 // column rows implements it. The contract: ProcessColumns emits exactly
 // the rows Process would emit for the selected rows of in, in the same
 // order, with the same event and ingest times, and it never retains in
-// (the engine releases it on return). OutKinds names the output
+// (the engine releases it on return) or writes its slabs (in may be a
+// view whose slabs other instances read). OutKinds names the output
 // columns' kinds, fixed for the UDO's lifetime. A panic inside
 // ProcessColumns counts as one UDO panic and drops the rest of the
 // input batch and the output row reserved last; rows reserved before it
@@ -297,10 +305,8 @@ func (oi *opInstance) emitColumns(cb *tuple.ColumnBatch) {
 // (hash, rebalance order) bit-identical to a row-plane run. Columnar
 // targets receive whole batches for forward partitioning and for
 // rebalancing onto stateless operators; hash partitioning, and
-// rebalancing onto an operator that keeps window state, scatter row by row into
-// per-target pending batches (HashAt matches Value.Hash bit for bit,
-// and the round-robin cursor is the row plane's, so rows land on the
-// same instances either way).
+// rebalancing onto an operator that keeps window state, split the batch
+// into one view per target (see scatterColumns).
 func (rt *router) sendColumns(ctx context.Context, fromIdx int, cb *tuple.ColumnBatch) bool {
 	rt.colBatches++
 	if !rt.colOK {
@@ -328,49 +334,72 @@ func (rt *router) sendColumns(ctx context.Context, fromIdx int, cb *tuple.Column
 	}
 }
 
-// scatterColumns copies each selected row into its target's pending
-// batch, shipping batches as they fill.
+// scatterColumns routes each selected row as the row plane would —
+// HashAt matches Value.Hash bit for bit, and the round-robin cursor is
+// the row plane's — but copies no row: each target that gets rows gets
+// a view of cb selecting them, and a single target gets cb itself. A
+// hash route's key hashes stay on cb as its hash column, which the
+// views share, so the keyed window behind them hashes no key again.
+// A target that gets no row still gets cb's watermark when it advanced.
 func (rt *router) scatterColumns(ctx context.Context, cb *tuple.ColumnBatch) bool {
 	n := len(rt.targets)
-	hash := rt.strategy == core.PartitionHash
-	f := rt.keyField
-	if f >= cb.Width() {
-		f = 0
+	if n == 1 {
+		return rt.shipColumns(ctx, 0, cb)
 	}
+	hash := rt.strategy == core.PartitionHash
+	var hs []uint64
+	if hash {
+		f := rt.keyField
+		if f >= cb.Width() {
+			f = 0
+		}
+		hs = cb.HashKeys(f)
+	}
+	views := rt.views
+	made, last := 0, 0
 	for _, i := range cb.Sel() {
 		var di int
 		if hash {
-			di = int(cb.HashAt(f, int(i)) % uint64(n))
+			di = int(hs[i] % uint64(n))
 		} else {
 			di = rt.rr % n
 			rt.rr++
 		}
-		pb := rt.colBufs[di]
-		if pb == nil {
-			pb = tuple.GetColumnBatch(cb.Kinds(), cb.Cap())
-			rt.colBufs[di] = pb
+		v := views[di]
+		if v == nil {
+			v = cb.View()
+			views[di] = v
+			made, last = made+1, di
 		}
-		rt.colPending++
-		if pb.AppendRowFrom(cb, int(i)) >= pb.Cap() {
-			if !rt.flushColTo(ctx, di) {
-				cb.Release()
-				return false
+		v.SetSel(append(v.Sel(), i))
+	}
+	wm := cb.Watermark()
+	if made == 1 {
+		// Every row goes to one target: it takes the batch itself.
+		views[last].Release()
+		views[last] = cb
+	} else {
+		cb.Release()
+	}
+	ok := true
+	for di, v := range views {
+		views[di] = nil
+		switch {
+		case !ok:
+			if v != nil {
+				v.Release()
 			}
+		case v != nil:
+			if wm > rt.sentWM[di] {
+				rt.sentWM[di] = wm
+			}
+			ok = rt.shipColumns(ctx, di, v)
+		case wm > rt.sentWM[di]:
+			rt.sentWM[di] = wm
+			ok = rt.sendWatermark(ctx, di, wm)
 		}
 	}
-	// Propagate the incoming stamp onto the pending scatter batches:
-	// their rows all came from batches at or below this watermark.
-	// (Batches flushed mid-loop may understamp, which is safe — the
-	// authoritative msgWatermark broadcast follows the data anyway.)
-	if w := cb.Watermark(); w != tuple.NoEventTime {
-		for di := range rt.colBufs {
-			if pb := rt.colBufs[di]; pb != nil && pb.Watermark() < w {
-				pb.SetWatermark(w)
-			}
-		}
-	}
-	cb.Release()
-	return true
+	return ok
 }
 
 // shipColumns seals nothing — the batch's selection already names its
@@ -383,32 +412,6 @@ func (rt *router) shipColumns(ctx context.Context, di int, cb *tuple.ColumnBatch
 		cb.Release()
 		return false
 	}
-}
-
-// flushColTo ships target di's pending scatter batch.
-func (rt *router) flushColTo(ctx context.Context, di int) bool {
-	pb := rt.colBufs[di]
-	if pb == nil {
-		return true
-	}
-	rt.colBufs[di] = nil
-	rt.colPending -= pb.Len()
-	pb.Seal(pb.Len())
-	return rt.shipColumns(ctx, di, pb)
-}
-
-// flushColAll ships every pending scatter batch (idle flush, linger
-// boundary, end-of-stream).
-func (rt *router) flushColAll(ctx context.Context) bool {
-	if rt.colPending == 0 {
-		return true
-	}
-	for di := range rt.colBufs {
-		if !rt.flushColTo(ctx, di) {
-			return false
-		}
-	}
-	return true
 }
 
 // materializeColumns is the receiver-side fallback: a row-only operator

@@ -92,17 +92,18 @@ type router struct {
 
 	// Columnar plane (see column.go). colOK records whether the target
 	// operator accepts column batches; when false, sendColumns falls back
-	// to per-row materialization through send. colBufs holds per-target
-	// pending scatter batches for hash partitioning, colPending the rows
-	// buffered across them; colBatches/colFallback count batches routed
-	// and batches that fell back to the row plane.
+	// to per-row materialization through send. colBatches/colFallback
+	// count batches routed and batches that fell back to the row plane.
 	colOK bool
 	// stateful: the target operator keeps window state, so a rebalance
 	// onto it scatters row by row, as the row plane routes, instead of
 	// shipping whole batches.
-	stateful    bool
-	colBufs     []*tuple.ColumnBatch
-	colPending  int
+	stateful bool
+	// views is the scatter's per-target scratch, every entry nil
+	// between batches; sentWM is the last watermark shipped to each
+	// target.
+	views       []*tuple.ColumnBatch
+	sentWM      []int64
 	colBatches  uint64
 	colFallback uint64
 }
@@ -129,6 +130,11 @@ func newRouter(down *core.Operator, targets []*opInstance, side, fromIdx, batchS
 	if batchSize <= 0 {
 		batchSize = 1
 	}
+	sentWM := make([]int64, len(targets))
+	for i := range sentWM {
+		sentWM[i] = tuple.NoEventTime
+	}
+	stateful := down.Kind == core.OpAggregate
 	return &router{
 		targets:   targets,
 		strategy:  down.Partition,
@@ -139,8 +145,9 @@ func newRouter(down *core.Operator, targets []*opInstance, side, fromIdx, batchS
 		bufs:      make([]*[]*tuple.Tuple, len(targets)),
 		sentEOS:   make([]bool, len(targets)),
 		colOK:     len(targets) > 0 && targets[0].colOK,
-		stateful:  down.Kind == core.OpAggregate,
-		colBufs:   make([]*tuple.ColumnBatch, len(targets)),
+		stateful:  stateful,
+		views:     make([]*tuple.ColumnBatch, len(targets)),
+		sentWM:    sentWM,
 	}
 }
 
@@ -197,11 +204,9 @@ func (rt *router) flushTo(ctx context.Context, di int) bool {
 	}
 }
 
-// flushAll ships every pending partial batch, row and columnar.
+// flushAll ships every pending partial row batch. Column batches are
+// never held back: the scatter ships its views as it makes them.
 func (rt *router) flushAll(ctx context.Context) bool {
-	if !rt.flushColAll(ctx) {
-		return false
-	}
 	if rt.pending == 0 {
 		return true
 	}
@@ -466,7 +471,7 @@ func (oi *opInstance) emit(t *tuple.Tuple) {
 func (oi *opInstance) pendingOut() int {
 	n := 0
 	for _, rt := range oi.routes {
-		n += rt.pending + rt.colPending
+		n += rt.pending
 	}
 	if oi.colJoin {
 		if out := oi.join.out; out != nil {

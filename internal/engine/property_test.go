@@ -130,11 +130,9 @@ func TestSlidingRingNeverExceedsWindow(t *testing.T) {
 			}
 			agg.add(tp, emit, nil)
 		}
-		for s := range agg.rings {
-			for _, r := range agg.rings[s] {
-				if len(r.vals) > length {
-					t.Fatalf("ring holds %d values, window %d", len(r.vals), length)
-				}
+		for _, r := range agg.rings {
+			if len(r.vals) > length {
+				t.Fatalf("ring holds %d values, window %d", len(r.vals), length)
 			}
 		}
 	}

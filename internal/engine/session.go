@@ -34,16 +34,9 @@ func (a *aggregator) addSession(t *tuple.Tuple, rt *Runtime) {
 	h, key, keyed := a.groupOf(t)
 	lo, hi := et, et+a.gapNs
 
-	var list []*session
+	list := a.sessGlobal
 	if keyed {
-		m := a.sessKeys[h&windowShardMask]
-		if m == nil {
-			m = make(map[uint64][]*session)
-			a.sessKeys[h&windowShardMask] = m
-		}
-		list = m[h]
-	} else {
-		list = a.sessGlobal
+		list = a.sessKeys[h]
 	}
 
 	var merged *session
@@ -99,7 +92,7 @@ func (a *aggregator) addSession(t *tuple.Tuple, rt *Runtime) {
 	}
 
 	if keyed {
-		a.sessKeys[h&windowShardMask][h] = kept
+		a.sessKeys[h] = kept
 	} else {
 		a.sessGlobal = kept
 	}
@@ -115,27 +108,25 @@ type firedSession struct {
 
 // fireSessions emits and evicts every session whose end passed the
 // horizon, ordered by (start, key hash) so emission is deterministic
-// across shard layouts and map iteration orders.
+// whatever the map's iteration order.
 func (a *aggregator) fireSessions(horizon int64, emit func(*tuple.Tuple)) {
 	if horizon == tuple.NoEventTime {
 		return
 	}
 	var due []firedSession
-	for sh := range a.sessKeys {
-		for h, list := range a.sessKeys[sh] {
-			kept := list[:0]
-			for _, s := range list {
-				if s.end <= horizon {
-					due = append(due, firedSession{start: s.start, h: h, st: s.st})
-				} else {
-					kept = append(kept, s)
-				}
-			}
-			if len(kept) == 0 {
-				delete(a.sessKeys[sh], h)
+	for h, list := range a.sessKeys {
+		kept := list[:0]
+		for _, s := range list {
+			if s.end <= horizon {
+				due = append(due, firedSession{start: s.start, h: h, st: s.st})
 			} else {
-				a.sessKeys[sh][h] = kept
+				kept = append(kept, s)
 			}
+		}
+		if len(kept) == 0 {
+			delete(a.sessKeys, h)
+		} else {
+			a.sessKeys[h] = kept
 		}
 	}
 	kept := a.sessGlobal[:0]
@@ -162,10 +153,8 @@ func (a *aggregator) fireSessions(horizon int64, emit func(*tuple.Tuple)) {
 // introspection).
 func (a *aggregator) openSessions() int {
 	n := len(a.sessGlobal)
-	for sh := range a.sessKeys {
-		for _, list := range a.sessKeys[sh] {
-			n += len(list)
-		}
+	for _, list := range a.sessKeys {
+		n += len(list)
 	}
 	return n
 }

@@ -123,15 +123,26 @@ func (rt *router) watermark(ctx context.Context, wm int64) bool {
 	if !rt.flushAll(ctx) {
 		return false
 	}
-	for di, dst := range rt.targets {
+	for di := range rt.targets {
 		if rt.sentEOS[di] {
 			continue
 		}
-		select {
-		case dst.in <- message{kind: msgWatermark, side: rt.side, from: rt.wmID, wm: wm}:
-		case <-ctx.Done():
+		if wm > rt.sentWM[di] {
+			rt.sentWM[di] = wm
+		}
+		if !rt.sendWatermark(ctx, di, wm) {
 			return false
 		}
 	}
 	return true
+}
+
+// sendWatermark delivers the marker to target di.
+func (rt *router) sendWatermark(ctx context.Context, di int, wm int64) bool {
+	select {
+	case rt.targets[di].in <- message{kind: msgWatermark, side: rt.side, from: rt.wmID, wm: wm}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }

@@ -101,37 +101,22 @@ func (a *aggState) result(fn core.AggFn) *tuple.Tuple {
 	return t
 }
 
-// Keyed window state is split into 2^windowShardBits hash shards
-// selected by the low bits of the FNV-1a key hash — the same hash the
-// router partitions on. Each shard is a small single-writer map (the
-// instance goroutine is the only writer): lookups touch a fraction of
-// the key space per probe, and emission stays deterministic because
-// every emit path gathers hashes across shards and sorts them globally,
-// exactly the order the unsharded maps produced.
-const (
-	windowShardBits = 3
-	windowShards    = 1 << windowShardBits
-	windowShardMask = windowShards - 1
-)
-
-// pane is one time-policy window instance; keys shards are allocated
-// lazily so sparse panes don't pay for empty maps.
+// pane is one time-policy window instance; its key map is allocated
+// lazily so global panes don't pay for an empty map.
 type pane struct {
 	start  int64
-	keys   [windowShards]map[uint64]*aggState
+	keys   map[uint64]*aggState
 	global *aggState
 }
 
 func (p *pane) keyState(h uint64, key tuple.Value) *aggState {
-	m := p.keys[h&windowShardMask]
-	if m == nil {
-		m = make(map[uint64]*aggState)
-		p.keys[h&windowShardMask] = m
+	if p.keys == nil {
+		p.keys = make(map[uint64]*aggState)
 	}
-	st, ok := m[h]
+	st, ok := p.keys[h]
 	if !ok {
 		st = newAggState(key, true)
-		m[h] = st
+		p.keys[h] = st
 	}
 	return st
 }
@@ -146,6 +131,10 @@ func (p *pane) keyState(h uint64, key tuple.Value) *aggState {
 // when the instance's merged watermark moves. Count-policy windows are
 // arrival-driven by definition (their trigger is a tuple count, not a
 // clock) and ignore watermarks.
+//
+// Keyed state is one single-writer map per kind, keyed by
+// the FNV-1a key hash the router partitions on; every emit path sorts
+// the hashes, so emission order is deterministic.
 type aggregator struct {
 	spec *core.AggregateSpec
 
@@ -160,12 +149,12 @@ type aggregator struct {
 	// Session windows (session.go): per-key gap-merged activity spans.
 	hasSession bool
 	gapNs      int64
-	sessKeys   [windowShards]map[uint64][]*session
+	sessKeys   map[uint64][]*session
 	sessGlobal []*session
 
-	// Count policy (sharded like pane keys).
-	counters [windowShards]map[uint64]*aggState // tumbling: accumulate then reset
-	rings    [windowShards]map[uint64]*ring     // sliding: last N values
+	// Count policy.
+	counts   map[uint64]*aggState // tumbling: accumulate, fire, remove
+	rings    map[uint64]*ring     // sliding: last N values
 	hasCount bool
 	slideTup int
 }
@@ -210,6 +199,7 @@ func newAggregator(spec *core.AggregateSpec, latenessNs int64) *aggregator {
 	if spec.Window.Type == core.WindowSession {
 		a.hasSession = true
 		a.gapNs = spec.Window.GapMs * int64(1e6)
+		a.sessKeys = make(map[uint64][]*session)
 	} else if spec.Window.Policy == core.PolicyTime {
 		a.panes = make(map[int64]*pane)
 		a.lenNs = spec.Window.LengthMs * int64(1e6)
@@ -218,10 +208,8 @@ func newAggregator(spec *core.AggregateSpec, latenessNs int64) *aggregator {
 			a.slideNs = a.lenNs
 		}
 	} else {
-		for s := range a.counters {
-			a.counters[s] = make(map[uint64]*aggState)
-			a.rings[s] = make(map[uint64]*ring)
-		}
+		a.rings = make(map[uint64]*ring)
+		a.counts = make(map[uint64]*aggState)
 		a.hasCount = true
 		a.slideTup = int(spec.Window.Slide())
 		if a.slideTup <= 0 {
@@ -354,18 +342,14 @@ func (a *aggregator) emitPane(p *pane, emit func(*tuple.Tuple)) {
 		emit(p.global.result(a.spec.Fn))
 		return
 	}
-	// Deterministic key order for reproducible outputs: gather across
-	// shards and sort globally — the same hash set, and therefore the
-	// same emission order, an unsharded map would produce.
-	var hs []uint64
-	for s := range p.keys {
-		for h := range p.keys[s] {
-			hs = append(hs, h)
-		}
+	// Deterministic key order for reproducible outputs.
+	hs := make([]uint64, 0, len(p.keys))
+	for h := range p.keys {
+		hs = append(hs, h)
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
 	for _, h := range hs {
-		emit(p.keys[h&windowShardMask][h].result(a.spec.Fn))
+		emit(p.keys[h].result(a.spec.Fn))
 	}
 }
 
@@ -373,16 +357,20 @@ func (a *aggregator) addCount(t *tuple.Tuple, emit func(*tuple.Tuple)) {
 	v := a.fieldValue(t)
 	h, key, keyed := a.groupOf(t)
 	if a.spec.Window.Type == core.WindowTumbling {
-		a.tumbleCount(h, key, keyed, v, t.EventTime, t.Ingest, emit)
+		st, ok := a.counts[h]
+		if !ok {
+			st = newAggState(key, keyed)
+			a.counts[h] = st
+		}
+		a.foldCount(h, st, v, t.EventTime, t.Ingest, emit)
 		return
 	}
 	// Sliding count window: ring of the last LengthTups values, emitting
 	// every slideTup arrivals once the ring first fills.
-	m := a.rings[h&windowShardMask]
-	r, ok := m[h]
+	r, ok := a.rings[h]
 	if !ok {
 		r = &ring{key: key, keyed: keyed, cap: a.spec.Window.LengthTups}
-		m[h] = r
+		a.rings[h] = r
 	}
 	r.push(v, t)
 	r.since++
@@ -392,27 +380,22 @@ func (a *aggregator) addCount(t *tuple.Tuple, emit func(*tuple.Tuple)) {
 	}
 }
 
-// tumbleCount folds one row into group h's tumbling count window and
-// emits the window once it holds LengthTups rows. key is read only
-// when the row opens a new window.
-func (a *aggregator) tumbleCount(h uint64, key tuple.Value, keyed bool, v float64, event, ingest int64, emit func(*tuple.Tuple)) {
-	m := a.counters[h&windowShardMask]
-	st, ok := m[h]
-	if !ok {
-		st = newAggState(key, keyed)
-		m[h] = st
-	}
+// foldCount folds one row into group h's open tumbling count window
+// st, and fires and forgets the window once it holds LengthTups rows.
+func (a *aggregator) foldCount(h uint64, st *aggState, v float64, event, ingest int64, emit func(*tuple.Tuple)) {
 	st.fold(v, event, ingest)
 	if st.count >= int64(a.spec.Window.LengthTups) {
 		emit(st.result(a.spec.Fn))
-		delete(m, h)
+		delete(a.counts, h)
 	}
 }
 
 // addColumns folds the selected rows of a batch into a tumbling count
 // window (the only window acceptsColumns admits), straight from the
 // key and value columns with the row plane's field rules; completed
-// windows emit as rows.
+// windows emit as rows. Key hashes come from the batch's hash column
+// (the one a hash scatter left, else computed here), and the key is
+// boxed only when a row opens a window.
 func (a *aggregator) addColumns(cb *tuple.ColumnBatch, emit func(*tuple.Tuple)) {
 	f := a.spec.Field
 	if f < 0 || f >= cb.Width() {
@@ -420,15 +403,27 @@ func (a *aggregator) addColumns(cb *tuple.ColumnBatch, emit func(*tuple.Tuple)) 
 	}
 	kf := a.spec.KeyField
 	keyed := kf >= 0 && kf < cb.Width()
+	var hs []uint64
+	if keyed {
+		hs = cb.HashKeys(kf)
+	}
 	ev, inge := cb.EventCol(), cb.IngestCol()
 	for _, r := range cb.Sel() {
-		i := int(r)
+		j := int(r)
 		var h uint64
-		var key tuple.Value
 		if keyed {
-			h, key = cb.HashAt(kf, i), cb.ValueAt(kf, i)
+			h = hs[j]
 		}
-		a.tumbleCount(h, key, keyed, cb.FloatAt(f, i), ev[i], inge[i], emit)
+		st, ok := a.counts[h]
+		if !ok {
+			var key tuple.Value
+			if keyed {
+				key = cb.ValueAt(kf, j)
+			}
+			st = newAggState(key, keyed)
+			a.counts[h] = st
+		}
+		a.foldCount(h, st, cb.FloatAt(f, j), ev[j], inge[j], emit)
 	}
 }
 
@@ -446,30 +441,23 @@ func (a *aggregator) flush(emit func(*tuple.Tuple)) {
 	if !a.hasCount {
 		return
 	}
-	// Deterministic order across shards: gather every live hash, sort
-	// globally, then index back through the shard mask — identical to the
-	// order the unsharded maps emitted.
+	// Deterministic order: open windows by sorted hash, then partial
+	// sliding windows by sorted hash.
+	var open []uint64
+	for h := range a.counts {
+		open = append(open, h)
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
+	for _, h := range open {
+		emit(a.counts[h].result(a.spec.Fn))
+	}
 	var hs []uint64
-	for s := range a.counters {
-		for h := range a.counters[s] {
-			hs = append(hs, h)
-		}
+	for h := range a.rings {
+		hs = append(hs, h)
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
 	for _, h := range hs {
-		if st := a.counters[h&windowShardMask][h]; st.count > 0 {
-			emit(st.result(a.spec.Fn))
-		}
-	}
-	hs = hs[:0]
-	for s := range a.rings {
-		for h := range a.rings[s] {
-			hs = append(hs, h)
-		}
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	for _, h := range hs {
-		if r := a.rings[h&windowShardMask][h]; len(r.vals) > 0 && len(r.vals) < r.cap {
+		if r := a.rings[h]; len(r.vals) > 0 && len(r.vals) < r.cap {
 			// Full rings already emitted on their slide; emit only
 			// never-fired partial windows.
 			emit(r.state().result(a.spec.Fn))

@@ -4,16 +4,22 @@
 // and sequence columns and a selection vector, so operator kernels scan
 // contiguous memory instead of chasing *Tuple pointers. Batches convert
 // to and from row tuples only at plane boundaries (source fill, sink
-// tap, handoff to a row-only operator chain).
+// tap, handoff to a row-only operator).
 //
 // Ownership mirrors the row plane's pooled tuples: whoever holds a
-// batch last calls Release; kernels mutate only the selection vector,
-// never the slabs, so a batch can be cloned cheaply for fan-out.
+// batch last calls Release. Slabs are written only while a batch fills;
+// once sealed, kernels mutate only the selection vector. That is what
+// lets a batch be split without copying: a view (View) is a header
+// that shares its base batch's slabs under its own selection vector.
+// The base is reference-counted, one reference per view plus its
+// owner's, and whichever holder releases last returns it to the pool.
+// A view's slabs are read-only: the fill calls panic on a view.
 package tuple
 
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // ColumnBatch is a fixed-capacity struct-of-arrays micro-batch. Rows
@@ -36,8 +42,21 @@ type ColumnBatch struct {
 	// applies the stamp after processing the rows, exactly as a trailing
 	// row-plane watermark message would.
 	wm int64
-	// pooled marks batches obtained from GetColumnBatch; only those
-	// return to the free list on Release.
+	// hash is the key-hash column: hash[i] == HashAt(hashField, i) for
+	// every row selected when it was computed (selections only shrink
+	// after Seal, so it stays valid for the live rows). hashField is -1
+	// when the batch carries none. A view's hash may be its base's;
+	// ownHash is the slab this header owns, the one HashKeys writes.
+	hash      []uint64
+	hashField int
+	ownHash   []uint64
+	// base is the batch whose slabs a view shares, nil for a batch that
+	// owns its slabs. refs counts the holders of a pooled batch: its
+	// owner plus one per live view made from it.
+	base *ColumnBatch
+	refs atomic.Int32
+	// pooled marks batches obtained from GetColumnBatch or View; only
+	// those return to a free list on their last Release.
 	pooled bool
 }
 
@@ -101,11 +120,17 @@ func (b *ColumnBatch) shape(kinds []Type, capacity int) {
 	b.sel = b.sel[:0]
 	b.cap = capacity
 	b.wm = NoEventTime
+	b.hash, b.hashField = nil, -1
 }
 
 // columnPool recycles batches across source refills and channel hops,
-// the same role the row plane's tuple pool plays.
-var columnPool = sync.Pool{New: func() any { return &ColumnBatch{} }}
+// the same role the row plane's tuple pool plays. viewPool recycles
+// view headers; a header enters it only after dropping every pointer
+// into its base's slabs, so the two pools never share slabs.
+var (
+	columnPool = sync.Pool{New: func() any { return &ColumnBatch{} }}
+	viewPool   = sync.Pool{New: func() any { return &ColumnBatch{} }}
+)
 
 // GetColumnBatch returns a pooled (or fresh) batch shaped for kinds and
 // capacity, with zero rows. The caller owns it and must Release it (or
@@ -113,29 +138,76 @@ var columnPool = sync.Pool{New: func() any { return &ColumnBatch{} }}
 func GetColumnBatch(kinds []Type, capacity int) *ColumnBatch {
 	b := columnPool.Get().(*ColumnBatch)
 	b.pooled = true
+	b.refs.Store(1)
 	b.shape(kinds, capacity)
 	return b
 }
 
-// Release returns a pooled batch to the free list; on unpooled batches
-// it is a no-op, so drop points can release unconditionally. String
-// slabs are cleared so recycled batches do not retain payloads.
+// View returns a pooled view of b with an empty selection: it shares
+// b's slabs and key-hash column and carries b's watermark stamp. The
+// caller owns the view and must Release it; b stays alive until its
+// owner and every view have released it. Views of views share the
+// same slabs and hold their parent view alive.
+func (b *ColumnBatch) View() *ColumnBatch {
+	v := viewPool.Get().(*ColumnBatch)
+	v.pooled = true
+	v.refs.Store(1)
+	if b.pooled {
+		b.refs.Add(1)
+	}
+	v.base = b
+	v.kinds, v.cols = b.kinds, b.cols
+	v.event, v.inge, v.seq = b.event, b.inge, b.seq
+	v.n, v.cap = b.n, b.cap
+	v.sel = v.sel[:0]
+	v.wm = b.wm
+	v.hash, v.hashField = b.hash, b.hashField
+	return v
+}
+
+// Release drops the caller's hold on a pooled batch; the last holder
+// returns it to the free list. On unpooled batches it is a no-op, so
+// drop points can release unconditionally. String slabs are cleared so
+// recycled batches do not retain payloads. A view's last release
+// detaches the header from its base's slabs, pools the header and
+// releases the base.
 func (b *ColumnBatch) Release() {
-	if b == nil || !b.pooled {
+	if b == nil || !b.pooled || b.refs.Add(-1) != 0 {
 		return
 	}
-	for i := range b.cols {
-		if s := b.cols[i].strs; s != nil {
-			for j := 0; j < b.n; j++ {
-				s[j] = ""
-			}
+	b.pooled = false
+	if base := b.base; base != nil {
+		b.base = nil
+		b.kinds, b.cols = nil, nil
+		b.event, b.inge, b.seq = nil, nil, nil
+		b.hash, b.hashField = nil, -1
+		b.n, b.cap = 0, 0
+		b.sel = b.sel[:0]
+		b.wm = NoEventTime
+		viewPool.Put(b)
+		base.Release()
+		return
+	}
+	// Only string columns: a recycled batch keeps the slabs of kinds it
+	// had before, and those may be shorter than this use's rows.
+	for i, k := range b.kinds {
+		if k == TypeString {
+			clear(b.cols[i].strs[:b.n])
 		}
 	}
 	b.n = 0
 	b.sel = b.sel[:0]
 	b.wm = NoEventTime
-	b.pooled = false
+	b.hash, b.hashField = nil, -1
 	columnPool.Put(b)
+}
+
+// mustOwnSlabs guards the fill calls: a view's slabs are its base's and
+// its siblings', so writing them would change rows other holders read.
+func (b *ColumnBatch) mustOwnSlabs() {
+	if b.base != nil {
+		panic("tuple: write to the slabs of a column batch view")
+	}
 }
 
 // Width returns the number of fields.
@@ -223,6 +295,7 @@ func (b *ColumnBatch) FloatAt(f, i int) float64 {
 // pass a value of the column's kind (AppendRow enforces this for whole
 // tuples).
 func (b *ColumnBatch) SetValueAt(f, i int, v Value) {
+	b.mustOwnSlabs()
 	switch b.kinds[f] {
 	case TypeInt:
 		b.cols[f].ints[i] = v.I
@@ -242,9 +315,11 @@ func (b *ColumnBatch) HashAt(f, i int) uint64 {
 	h = (h ^ uint64(byte(k))) * fnvPrime64
 	switch k {
 	case TypeInt, TypeDouble:
-		u := uint64(b.cols[f].ints[i])
+		var u uint64
 		if k == TypeDouble {
 			u = math.Float64bits(b.cols[f].floats[i])
+		} else {
+			u = uint64(b.cols[f].ints[i])
 		}
 		for i := 0; i < 64; i += 8 {
 			h = (h ^ (u >> i & 0xff)) * fnvPrime64
@@ -258,12 +333,35 @@ func (b *ColumnBatch) HashAt(f, i int) uint64 {
 	return h
 }
 
+// HashKeys returns the key-hash column for field f, computing it for
+// the selected rows unless the batch already carries it: after this
+// call hash[i] == HashAt(f, i) for every selected row i. A view that
+// shares its base's column and is asked for another field hashes into
+// a slab of its own, so its siblings' hashes stay intact; so does a
+// batch whose own column its views may still read (an unpooled batch
+// does not count its views, so it always takes a fresh slab).
+func (b *ColumnBatch) HashKeys(f int) []uint64 {
+	if b.hashField == f {
+		return b.hash
+	}
+	if cap(b.ownHash) < b.cap || b.refs.Load() > 1 || !b.pooled {
+		b.ownHash = make([]uint64, b.cap)
+	}
+	hs := b.ownHash[:b.cap]
+	for _, i := range b.sel {
+		hs[i] = b.HashAt(f, int(i))
+	}
+	b.hash, b.hashField = hs, f
+	return hs
+}
+
 // AppendRow copies one tuple into the next row (row→column conversion
 // at a plane boundary). The tuple's values must match the batch's
 // kinds; mismatched kinds store the matching payload field, mirroring
 // how the row plane never coerces either. It panics when full, like a
 // slab index out of range would.
 func (b *ColumnBatch) AppendRow(t *Tuple) {
+	b.mustOwnSlabs()
 	i := b.n
 	w := len(b.kinds)
 	for f := 0; f < w && f < len(t.Values); f++ {
@@ -279,6 +377,7 @@ func (b *ColumnBatch) AppendRow(t *Tuple) {
 // and sequence 0, and returns its index. The caller writes every field
 // of the row through the column slabs. It panics when full.
 func (b *ColumnBatch) AddRow(event, ingest int64) int {
+	b.mustOwnSlabs()
 	i := b.n
 	b.event[i] = event
 	b.inge[i] = ingest
@@ -293,6 +392,7 @@ func (b *ColumnBatch) AddRow(event, ingest int64) int {
 // skipping the intermediate joined tuple entirely. Returns the new
 // length.
 func (b *ColumnBatch) AppendJoined(l, r *Tuple) int {
+	b.mustOwnSlabs()
 	i := b.n
 	kinds, cols := b.kinds, b.cols
 	f := 0
@@ -336,32 +436,13 @@ func (b *ColumnBatch) AppendJoined(l, r *Tuple) int {
 	return b.n
 }
 
-// AppendRowFrom copies row i of src (same kinds) into the next row —
-// the hash router's scatter step. Returns the new length.
-func (b *ColumnBatch) AppendRowFrom(src *ColumnBatch, i int) int {
-	j := b.n
-	for f := range b.kinds {
-		switch b.kinds[f] {
-		case TypeInt:
-			b.cols[f].ints[j] = src.cols[f].ints[i]
-		case TypeDouble:
-			b.cols[f].floats[j] = src.cols[f].floats[i]
-		default:
-			b.cols[f].strs[j] = src.cols[f].strs[i]
-		}
-	}
-	b.event[j] = src.event[i]
-	b.inge[j] = src.inge[i]
-	b.seq[j] = src.seq[i]
-	b.n = j + 1
-	return b.n
-}
-
 // Seal marks rows [0, n) filled and selects them all. Fill paths that
 // bypass AppendRow (the generator fast path writes slabs directly)
 // call it with their row count; AppendRow callers pass Len().
 func (b *ColumnBatch) Seal(n int) {
+	b.mustOwnSlabs()
 	b.n = n
+	b.hash, b.hashField = nil, -1
 	b.sel = b.sel[:0]
 	for i := 0; i < n; i++ {
 		b.sel = append(b.sel, int32(i))
@@ -396,9 +477,9 @@ func (b *ColumnBatch) MaterializeRow(i int) *Tuple {
 	return t
 }
 
-// CloneColumns deep-copies the batch (filled rows and selection) into a
-// pooled batch — the fan-out path's clone, so routes never share
-// mutable selection vectors.
+// CloneColumns deep-copies the batch (filled rows, selection and
+// key-hash column) into a pooled batch — the fan-out path's clone, so
+// routes never share mutable selection vectors.
 func (b *ColumnBatch) CloneColumns() *ColumnBatch {
 	c := GetColumnBatch(b.kinds, b.cap)
 	n := b.n
@@ -418,6 +499,13 @@ func (b *ColumnBatch) CloneColumns() *ColumnBatch {
 	c.n = n
 	c.sel = append(c.sel[:0], b.sel...)
 	c.wm = b.wm
+	if b.hashField >= 0 {
+		if cap(c.ownHash) < c.cap {
+			c.ownHash = make([]uint64, c.cap)
+		}
+		c.hash, c.hashField = c.ownHash[:c.cap], b.hashField
+		copy(c.hash, b.hash[:n])
+	}
 	return c
 }
 
